@@ -23,7 +23,7 @@ from .bounds import donoho_stark_trace, radius_dimension_bound
 from .circuit import Circuit, CircuitError, parse_circuit, serialize_circuit
 from .moments import AnalysisError, analysis_report, substitute_bounded_strength
 from .pipeline import build_code_prep, build_prep_circuit, run_sampling_scheme
-from .simulator import GridError, ResourceCapError, apply_circuit, auto_grid, energy_expectation, state_dump, vacuum_state
+from .simulator import GridError, ResourceCapError, apply_circuit, auto_grid, centered_grid, energy_expectation, state_dump, vacuum_state
 from .tradeoff import (
     implementation_energy_bound,
     regime_table,
@@ -32,6 +32,7 @@ from .tradeoff import (
 )
 
 DEFAULT_MEM_CAP_MB = 1024.0
+MEM_CAP_HELP = "memory cap for the state in MB (default: $HQOC_MEM_CAP_MB, else 1024)"
 
 
 def _mem_cap(args) -> float:
@@ -83,9 +84,7 @@ def cmd_simulate(args) -> int:
     c = _read_circuit(args.circuit)
     grids = auto_grid(c, base_margin=args.margin, mem_cap_mb=_mem_cap(args))
     if args.grid_points:
-        from dataclasses import replace
-
-        grids = [replace(g, n_points=args.grid_points) for g in grids]
+        grids = [centered_grid(args.grid_points, g.dx) for g in grids]
     state = apply_circuit(vacuum_state(c.m, c.r, grids), c)
     energies, emax = energy_expectation(state)
     payload = {
@@ -131,7 +130,9 @@ def cmd_sample(args) -> int:
                 raise CircuitError("only logical X gates are simulable directly")
             gates.append(qubit_gate("X", int(q) - 1))
     u = Circuit(0, args.n, tuple(gates))
-    run = run_sampling_scheme(u, args.n, args.m, args.delta, args.shots, args.seed)
+    run = run_sampling_scheme(
+        u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args)
+    )
     lines = ["".join(map(str, bits.tolist())) for bits in run.samples]
     csv_text = "\n".join(lines) + "\n"
     if args.out:
@@ -234,9 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a circuit from vacuum")
     p.add_argument("circuit")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
+    p.add_argument(
+        "--grid-points", type=int, dest="grid_points", metavar="N",
+        help="points per mode instead of the automatic count; the automatic dx is "
+        "held, so the extent scales with N, and the grid is centred on x = 0",
+    )
     p.add_argument("--margin", type=float, default=0.25)
-    p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb")
+    p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=MEM_CAP_HELP)
     p.add_argument("--dump-state", dest="dump_state")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
@@ -256,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--logical", help="comma list like 'X:2,X:5' (1-based qubits)")
+    p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=MEM_CAP_HELP)
     p.add_argument("--out")
     p.add_argument("--budget-out", dest="budget_out")
     p.set_defaults(func=cmd_sample)

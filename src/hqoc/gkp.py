@@ -141,8 +141,11 @@ def comb_wavefunction(
     """Sampled, renormalized closed-form comb state on one mode.
 
     The default resolution requirement (8 samples per peak sigma) suits
-    decoding and quadrature use; oracles comparing against Nyquist-sized
-    simulation grids may lower ``samples_per_sigma`` when the truncation
+    decoding and quadrature use.  ``auto_grid`` sizes simulation grids by the
+    Nyquist band alone, so at the end of a preparation circuit they sample a
+    peak only a few times per sigma (about 3.7 for the ell=1, Delta=0.02
+    code prep); oracles compared against them lower ``samples_per_sigma``
+    (``code_prep_target`` passes 1), which is sound when the truncation
     edges are negligible (``delta << eps``).
     """
     _check_grid(spec, grid, samples_per_sigma)
@@ -159,14 +162,20 @@ def comb_wavefunction(
     return HybridState(1, 0, (grid,), amps)
 
 
-def untruncated_comb_wavefunction(
-    L: int, delta: float, grid: GridSpec, scale: float = 1.0, shift: float = 0.0
-) -> HybridState:
-    """``|Sha_{L,Delta}>``: full (untruncated) Gaussians at L integer centers."""
-    u = (grid.xs - shift) / scale
+def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> HybridState:
+    """``|Sha_{L,Delta}>``: full (untruncated) Gaussians at L integer centers.
+
+    Each Gaussian is evaluated only on the cells where it is nonzero in double
+    precision (exponent >= -746, below which ``exp`` underflows to 0); the
+    peaks are still added in order, so the result equals the full-grid sum
+    bit for bit.
+    """
+    xs = grid.xs
+    reach = delta * math.sqrt(2 * 746.0)
     psi = np.zeros(grid.n_points)
     for z in range(-L // 2, L // 2):
-        psi += np.exp(-((u - z) ** 2) / (2 * delta ** 2))
+        lo, hi = np.searchsorted(xs, (z - reach, z + reach))
+        psi[lo:hi] += np.exp(-((xs[lo:hi] - z) ** 2) / (2 * delta ** 2))
     amps = psi.astype(complex)
     nrm = np.linalg.norm(amps)
     if nrm == 0:

@@ -269,6 +269,14 @@ def _p2(x: float, xi: float) -> float:
     return 4.0 * (xi * x ** 3 + x ** 2)
 
 
+def _or_inf(poly, x: float, xi: float) -> float:
+    """``poly(x, xi)``, or inf where one of its powers overflows a double."""
+    try:
+        return poly(x, xi)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EnergyBoundDetail:
     """Energy bound evaluation.
@@ -316,9 +324,9 @@ def energy_upper_bound(p: CircuitMomentParams) -> EnergyBoundDetail:
     s = q * xi if math.isfinite(q) else math.inf
     inv_q = 2.0 ** (-log2_q)
     if math.isfinite(s) and math.isfinite(q):
-        u = _p0(q, s) + _p0(inv_q, s)
-        v = _p2(q, s) + _p2(inv_q, s)
-        c0, c1, c2 = _p0(inv_q, s), _p1(inv_q, s), _p2(inv_q, s)
+        u = _or_inf(_p0, q, s) + _or_inf(_p0, inv_q, s)
+        v = _or_inf(_p2, q, s) + _or_inf(_p2, inv_q, s)
+        c0, c1, c2 = _or_inf(_p0, inv_q, s), _or_inf(_p1, inv_q, s), _or_inf(_p2, inv_q, s)
     else:
         u = v = c0 = c1 = c2 = math.inf
     return EnergyBoundDetail(

@@ -39,7 +39,7 @@ from .circuit import (
 )
 from .gkp import CombStateSpec, GkpParams, aux_params, canonical_params, comb_wavefunction, default_comb_grid
 from .moments import ceil_log2
-from .simulator import GridSpec, HybridState, apply_circuit, homodyne_sample, vacuum_state
+from .simulator import GridSpec, HybridState, apply_circuit, check_mem_cap, homodyne_sample, vacuum_state
 
 
 @dataclass(frozen=True)
@@ -337,15 +337,20 @@ def encoding_grid(layout: EncodingLayout, delta: float) -> GridSpec:
 
 
 def encode_basis_state(
-    bits, layout: EncodingLayout, delta: float, grids=None
+    bits, layout: EncodingLayout, delta: float, grids=None, mem_cap_mb: float = 1024.0
 ) -> HybridState:
-    """Analytic encoding of a computational basis state into m comb modes."""
+    """Analytic encoding of a computational basis state into m comb modes.
+
+    Raises ``ResourceCapError`` before allocating if the joint grid's
+    amplitudes would exceed ``mem_cap_mb``.
+    """
     bits = tuple(int(b) for b in bits)
     if len(bits) != layout.n:
         raise ValueError(f"expected {layout.n} logical bits")
     params = canonical_params(delta, layout.d)
     if grids is None:
         grids = [encoding_grid(layout, delta)] * layout.m
+    check_mem_cap(grids, 0, mem_cap_mb)
     indices = layout.indices_for_bits(bits)
     amps = np.ones((), dtype=complex)
     for alpha, j in enumerate(indices):
@@ -386,7 +391,8 @@ def logical_x_shift(layout: EncodingLayout, q: int) -> float:
 
 
 def run_sampling_scheme(
-    u_logical: Circuit, n: int, m: int, delta: float, shots: int, seed: int
+    u_logical: Circuit, n: int, m: int, delta: float, shots: int, seed: int,
+    mem_cap_mb: float = 1024.0,
 ) -> SamplingRun:
     """End-to-end run for logical circuits of identity/X gates (desk scale).
 
@@ -403,7 +409,7 @@ def run_sampling_scheme(
                 f"simulable logical gates are restricted to X (gate {i}); "
                 "general circuits are analyzed via blackbox recompilation only"
             )
-    state = encode_basis_state((0,) * n, layout, delta)
+    state = encode_basis_state((0,) * n, layout, delta, mem_cap_mb=mem_cap_mb)
     shift_gates = []
     for g in u_logical.gates:
         q = g.qubits[0] + 1

@@ -13,7 +13,7 @@ Gate kernels:
   states on a periodic grid, wraparound guarded by a boundary-mass check);
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
   interpolation; legal because the gate set has no controlled squeezing, so
-  ``dx`` is global per mode);
+  ``dx`` is global per mode); the new state shares the amplitude array;
 * qubit gates: dense 2x2 / 4x4 action on the qubit axes;
 * controlled displacements act on the control-bit-1 qubit branches only.
 
@@ -139,11 +139,15 @@ class HybridState:
         return dens.sum(axis=axes)
 
     def boundary_mass(self, cells: int = 2) -> float:
-        """Largest per-mode probability mass within ``cells`` of a grid edge."""
+        """Largest per-mode probability mass within ``cells`` of a grid edge.
+
+        Reads only the edge slices of each mode axis, not the whole array.
+        """
         worst = 0.0
         for a in range(self.m):
-            dens = self.position_density(a)
-            worst = max(worst, float(dens[:cells].sum() + dens[-cells:].sum()))
+            amps = np.moveaxis(self.amps, a, 0)
+            edges = np.concatenate((amps[:cells], amps[-cells:]))
+            worst = max(worst, float(np.vdot(edges, edges).real))
         return worst
 
 
@@ -211,7 +215,7 @@ def apply_gate(state: HybridState, g: Gate) -> HybridState:
     grid = grids[g.mode]
     if g.kind == "squeeze":
         grids[g.mode] = replace(grid, dx=grid.dx * g.alpha, x0=grid.x0 * g.alpha)
-        return HybridState(state.m, state.r, grids, amps.copy())
+        return HybridState(state.m, state.r, grids, amps)
 
     if g.kind == "disp_q":
         shape = [1] * amps.ndim
@@ -403,52 +407,46 @@ def auto_grid(
 
     Starting from the vacuum's effective window (radius covering all but
     1e-12 of the mass), the exact generator maps are composed through every
-    prefix; the grid extent covers the largest position window and ``dx``
-    keeps the largest momentum window inside the Nyquist band, both with the
-    requested margin.  ``dx`` additionally resolves the smallest predicted
-    feature: 8 samples per vacuum sigma, a ratio squeezers preserve since
-    they rescale the grid along with the state.  Returned grids refer to
-    t=0 (squeezers rescale ``dx`` during simulation, which the constraints
-    here account for).
+    prefix.  ``dx`` keeps the largest momentum window inside the Nyquist band
+    ``[-pi/dx, pi/dx]`` and the extent covers the largest position window,
+    both widened by ``1 + base_margin``; nothing else sets ``dx``.  Returned
+    grids refer to t=0: squeezers rescale ``dx`` during simulation, and the
+    per-prefix squeeze factors here account for that.
     """
     r0 = VACUUM_TAIL_RADIUS
     init: Window = (-r0, r0, -r0, r0)
     traj = circuit_window_trajectory(c, init)
-    feature_dx = (1.0 / math.sqrt(2.0)) / 8.0  # vacuum sigma / 8
 
-    # per-mode cumulative squeeze factor at each prefix
     specs = []
     for a in range(c.m):
+        # cumulative squeeze factor of this mode at each prefix
         scale = 1.0
         scales = [1.0]
         for g in c.gates:
             if g.kind == "squeeze" and g.mode == a:
                 scale *= g.alpha
             scales.append(scale)
-        dx0 = feature_dx
-        n_req = 0.0
-        for windows, s in zip(traj, scales):
-            w = windows[a]
-            mom = max(abs(w[2]), abs(w[3]))
-            if mom > 0:
-                dx0 = min(dx0, math.pi / ((1.0 + base_margin) * mom * s))
-        for windows, s in zip(traj, scales):
-            w = windows[a]
-            pos = max(abs(w[0]), abs(w[1]))
-            n_req = max(n_req, 2.0 * pos * (1.0 + base_margin) / (dx0 * s))
+        dx0 = min(
+            math.pi / ((1.0 + base_margin) * max(abs(w[a][2]), abs(w[a][3])) * s)
+            for w, s in zip(traj, scales)
+        )
+        n_req = max(
+            2.0 * max(abs(w[a][0]), abs(w[a][1])) * (1.0 + base_margin) / (dx0 * s)
+            for w, s in zip(traj, scales)
+        )
         n = max(min_points, _next_pow2(n_req))
         # shrink dx to land the extent exactly on the target (margins intact)
         specs.append(centered_grid(n, dx0 * n_req / n))
 
-    total_cells = 2 ** c.r
-    for g in specs:
-        total_cells *= g.n_points
-    mb = total_cells * 16 / 1e6
-    if mb > mem_cap_mb:
-        raise ResourceCapError(
-            f"grid needs {mb:.0f} MB > cap {mem_cap_mb:.0f} MB"
-        )
+    check_mem_cap(specs, c.r, mem_cap_mb)
     return specs
+
+
+def check_mem_cap(grids, r: int, mem_cap_mb: float) -> None:
+    """Raise ``ResourceCapError`` if the joint grid's amplitudes (16 B a cell) exceed the cap."""
+    mb = 2 ** r * math.prod(g.n_points for g in grids) * 16 / 1e6
+    if mb > mem_cap_mb:
+        raise ResourceCapError(f"grid needs {mb:.0f} MB > cap {mem_cap_mb:.0f} MB")
 
 
 def state_dump(state: HybridState) -> dict:

@@ -117,3 +117,35 @@ def test_missing_file_is_validation_error():
 
 def test_mem_cap_exit_code(circuit_file):
     assert main(["simulate", str(circuit_file), "--mem-cap-mb", "0.0001"]) == 2
+
+
+def test_sample_logical_gate_at_ell_3(tmp_path):
+    out, bud = tmp_path / "x.csv", tmp_path / "budget.json"
+    assert main(["sample", "--n", "3", "--m", "1", "--delta", "0.01", "--logical", "X:1",
+                 "--shots", "10", "--out", str(out), "--budget-out", str(bud)]) == 0
+    assert set(out.read_text().splitlines()) == {"100"}
+    assert math.isfinite(json.loads(bud.read_text())["energy_report"]["log2_energy_upper_bound"])
+
+
+@pytest.mark.parametrize("n_points", [128, 1024])
+def test_simulate_grid_points_recentres_and_holds_dx(circuit_file, tmp_path, n_points):
+    # the automatic grid here has 256 points; the wide margin lets half of them hold the state
+    auto, forced = tmp_path / "auto.json", tmp_path / "forced.json"
+    args = ["simulate", str(circuit_file), "--margin", "1.5"]
+    assert main(args + ["--out", str(auto)]) == 0
+    assert main(args + ["--grid-points", str(n_points), "--out", str(forced)]) == 0
+    a, f = json.loads(auto.read_text()), json.loads(forced.read_text())
+    assert a["grids"][0]["n_points"] == 256
+    grid = f["grids"][0]
+    assert grid["n_points"] == n_points
+    assert grid["dx"] == a["grids"][0]["dx"]
+    assert grid["x0"] == pytest.approx(-(n_points // 2) * grid["dx"], rel=1e-12)
+    assert f["norm"] == pytest.approx(1.0, abs=1e-9)
+    assert f["energy_max"] == pytest.approx(a["energy_max"], rel=1e-9)
+
+
+def test_sample_mem_cap_exit_code(monkeypatch):
+    args = ["sample", "--n", "2", "--m", "1", "--delta", "0.02", "--shots", "5"]
+    assert main(args + ["--mem-cap-mb", "0.001"]) == 2
+    monkeypatch.setenv("HQOC_MEM_CAP_MB", "0.001")
+    assert main(args) == 2

@@ -165,3 +165,15 @@ def test_untruncated_comb_normalized():
     grid = centered_grid(4096, 0.01)
     st = untruncated_comb_wavefunction(8, 0.05, grid)
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_untruncated_comb_bit_identical_to_full_grid_sum():
+    # each peak is evaluated near its centre only; the sum must not change by one bit
+    for L, delta, n, dx in ((8, 0.05, 1024, 0.01), (256, 0.02, 1 << 17, 0.0076), (4, 0.2, 256, 0.07)):
+        grid = centered_grid(n, dx)
+        psi = np.zeros(n)
+        for z in range(-L // 2, L // 2):
+            psi += np.exp(-((grid.xs - z) ** 2) / (2 * delta ** 2))
+        full = psi.astype(complex)
+        full /= np.linalg.norm(full)
+        assert np.array_equal(untruncated_comb_wavefunction(L, delta, grid).amps, full)

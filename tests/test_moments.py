@@ -311,3 +311,20 @@ def test_blackbox_params_use_declared_values():
     assert p.xi_bar == pytest.approx(36.5)
     assert p.log2_g_bar == pytest.approx(2.0 + 37.0)
     assert p.xi is None and p.xi_hat is None
+
+
+def test_energy_bound_survives_overflow_at_ell_3():
+    # at ell = 3 the pipeline's g_bar is finite, but (g_bar xi_bar)^3 overflows a double
+    from hqoc.moments import analysis_report
+    from hqoc.pipeline import build_pipeline_circuits
+
+    u = Circuit(0, 3, (qubit_gate("X", 0),))
+    w_tot = build_pipeline_circuits(u, 3, 1, 0.01).w_tot
+    p = circuit_params(w_tot)
+    assert math.isfinite(p.g_bar_max) and math.isfinite(p.g_bar_max * p.xi_bar_max)
+    d = energy_upper_bound(p)
+    assert d.u == math.inf  # only the terms that overflow become inf
+    assert all(math.isfinite(x) for x in (d.v, d.c0, d.c1, d.c2))
+    assert d.bound == math.inf and math.isfinite(d.log2_bound)
+    report = analysis_report(w_tot)
+    assert report["log2_energy_upper_bound"] == d.log2_bound

@@ -27,7 +27,13 @@ from hqoc.pipeline import (
     simulate_prep,
     simulate_wprep_factorized,
 )
-from hqoc.simulator import apply_circuit, auto_grid, trace_distance, vacuum_state
+from hqoc.simulator import (
+    ResourceCapError,
+    apply_circuit,
+    auto_grid,
+    trace_distance,
+    vacuum_state,
+)
 from hqoc.tradeoff import implementation_energy_bound
 
 
@@ -254,3 +260,10 @@ def test_prep_rejects_bad_parameters():
         build_prep_circuit(0, 0.1)
     with pytest.raises(ValueError):
         build_prep_circuit(2, 0.3)
+
+
+def test_encode_basis_state_checks_mem_cap():
+    # 1024^2 cells at delta = 0.125 need 17 MB; a 1 MB cap refuses them
+    layout = EncodingLayout(n=4, m=2)
+    with pytest.raises(ResourceCapError, match="17 MB > cap 1 MB"):
+        encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=1.0)

@@ -179,16 +179,44 @@ def test_auto_grid_squeeze_scales_windows():
     assert math.pi / final_dx <= base.p_max / 2 * 1.01
 
 
+def _support_radius(values, density, keep=1 - 1e-12):
+    """Smallest |value| holding ``keep`` of the mass (symmetric about 0)."""
+    order = np.argsort(np.abs(values))
+    cum = np.cumsum(density[order])
+    return abs(values[order][np.searchsorted(cum, keep * cum[-1])])
+
+
 def test_auto_grid_prep_circuit_resolution():
-    from hqoc.pipeline import build_prep_circuit
+    from hqoc.pipeline import build_prep_circuit, prep_target_state
 
     n, delta = 3, 0.04
     c = build_prep_circuit(n, delta)
     g = auto_grid(c, base_margin=0.3)[0]
-    # net squeeze through the circuit is Delta, so the final dx is g.dx * Delta
-    net = delta
-    assert g.dx * net <= delta / 8  # resolves the Delta-wide peaks
-    assert g.extent * net >= 2 * 2 ** (n - 1)  # covers the 2^n-peak comb
+    assert g.extent * delta >= 2 * 2 ** (n - 1)  # covers the 2^n-peak comb (net squeeze Delta)
+
+    # run on a grid 8x finer (same extent, 8x the Nyquist band), so the
+    # momentum support is measured free of aliasing at every prefix
+    fine = centered_grid(8 * g.n_points, g.dx / 8)
+
+    def inside_band(i, st):
+        grid = st.grids[0]
+        radius = _support_radius(grid.momenta, st.momentum_density(0))
+        assert radius <= grid.p_max / 8, f"prefix {i}: support {radius} > pi/dx"
+
+    st0 = vacuum_state(1, 1, [fine])
+    assert _support_radius(fine.momenta, st0.momentum_density(0)) <= g.p_max
+    out_fine = apply_circuit(st0, c, callback=inside_band)
+    out = apply_circuit(vacuum_state(1, 1, [g]), c)
+    td = trace_distance(out, prep_target_state(n, delta, out.grids[0]))
+    td_fine = trace_distance(out_fine, prep_target_state(n, delta, out_fine.grids[0]))
+    assert td == pytest.approx(td_fine, abs=1e-6)
+
+
+def test_auto_grid_code_prep_fits_default_cap():
+    from hqoc.pipeline import build_code_prep
+
+    g = auto_grid(build_code_prep(1, 0.01))[0]  # default cap 1024 MB
+    assert g.n_points * 2 * 16 / 1e6 <= 135
 
 
 def test_auto_grid_memory_cap():
