@@ -25,6 +25,7 @@ from .bounds import (
     symradius_delta,
 )
 from .circuit import (
+    KINDS,
     Circuit,
     DISPLACEMENT_KINDS,
     Gate,
@@ -95,7 +96,7 @@ def random_circuit(rng, m: int = 1, r: int = 1, max_gates: int = 12, strength: f
             gates.append(squeeze(mode, al))
         elif kind == "qubit_gate":
             gates.append(qubit_gate(str(rng.choice(["H", "S", "T", "X", "Z"])), int(rng.integers(0, r))))
-        elif kind.startswith("ctrl"):
+        elif KINDS[kind].controlled:
             gates.append(Gate(kind=kind, mode=mode, qubit=int(rng.integers(0, r)), t=float(rng.uniform(-strength, strength))))
         else:
             gates.append(Gate(kind=kind, mode=mode, t=float(rng.uniform(-strength, strength))))
@@ -224,9 +225,8 @@ def criterion_6() -> CriterionResult:
     worst_fid = 1.0
     params_ok = True
     for theta in (3.0, 4.0, 7.5):
-        for kind in ("disp_q", "disp_p", "ctrl_disp_q", "ctrl_disp_p"):
-            gate = Gate(kind=kind, mode=0, t=theta,
-                        qubit=0 if kind.startswith("ctrl") else None)
+        for kind in DISPLACEMENT_KINDS:
+            gate = Gate(kind=kind, mode=0, t=theta, qubit=0 if KINDS[kind].controlled else None)
             c = Circuit(1, 1, (gate,))
             sub = substitute_bounded_strength(c)
             for g in sub.gates:

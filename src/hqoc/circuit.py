@@ -8,6 +8,12 @@ nodes stand in for composite subcircuits (e.g. bit-transfer units) whose
 internals are not expanded; they carry declared analysis parameters
 ``(g_bar, xi_bar, eta)`` and a declared gate count.
 
+Each kind has one record in :data:`KINDS`: its JSON fields, the quadrature a
+displacement moves and whether it is qubit-controlled.  Validation,
+serialization, adjoints, the analyser's window maps, bounded-strength
+substitution and the simulator's kernels all read that record, so ``KINDS`` is
+the one place to add a kind.
+
 Gate lists are stored in application order: ``gates[0]`` is applied first
 (an operator product ``U_T ... U_1`` is stored as ``[U_1, ..., U_T]``).
 
@@ -24,22 +30,43 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-GATE_KINDS = (
-    "disp_q",
-    "disp_p",
-    "ctrl_disp_q",
-    "ctrl_disp_p",
-    "squeeze",
-    "qubit_gate",
-    "blackbox",
-)
 
-DISPLACEMENT_KINDS = ("disp_q", "disp_p", "ctrl_disp_q", "ctrl_disp_p")
-CONTROLLED_KINDS = ("ctrl_disp_q", "ctrl_disp_p")
+@dataclass(frozen=True)
+class GateKind:
+    """One gate kind: its JSON fields and, for displacements, what they move.
+
+    ``shifts`` is ``"x"`` for ``e^{-itP}`` (a translation in position) and
+    ``"p"`` for ``e^{itQ}`` (a translation in momentum); ``None`` for
+    non-displacements.  ``defaults`` holds the fields a document may omit.
+    """
+
+    fields: tuple[str, ...]
+    shifts: str | None = None
+    controlled: bool = False
+    defaults: dict = field(default_factory=dict)
+
+
+KINDS: dict[str, GateKind] = {
+    "disp_q": GateKind(("mode", "t"), shifts="p"),
+    "disp_p": GateKind(("mode", "t"), shifts="x"),
+    "ctrl_disp_q": GateKind(("mode", "qubit", "t"), shifts="p", controlled=True),
+    "ctrl_disp_p": GateKind(("mode", "qubit", "t"), shifts="x", controlled=True),
+    "squeeze": GateKind(("mode", "alpha")),
+    # plus exactly one of ``name`` or ``matrix``
+    "qubit_gate": GateKind(("qubits",)),
+    "blackbox": GateKind(
+        ("modes", "qubits", "g_bar", "xi_bar", "eta", "size"),
+        defaults={"qubits": (), "eta": 1.0, "size": None},
+    ),
+}
+
+GATE_KINDS = tuple(KINDS)
+DISPLACEMENT_KINDS = tuple(k for k, spec in KINDS.items() if spec.shifts)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -103,50 +130,52 @@ class Gate:
             return self.qubits == other.qubits and np.array_equal(
                 gate_matrix(self), gate_matrix(other)
             )
-        return (
-            self.mode == other.mode
-            and self.qubit == other.qubit
-            and self.qubits == other.qubits
-            and self.modes == other.modes
-            and self.t == other.t
-            and self.alpha == other.alpha
-            and self.g_bar == other.g_bar
-            and self.xi_bar == other.xi_bar
-            and self.eta == other.eta
-            and self.size == other.size
-        )
+        return all(getattr(self, f) == getattr(other, f) for f in KINDS[self.kind].fields)
+
+
+def _index(v) -> int:
+    """``operator.index`` with bools rejected: only integers pass, unchanged."""
+    if type(v) is int:  # the common case, first: this runs per field of every parsed gate
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"boolean {v!r} is not an index")
+    return operator.index(v)
+
+
+def _indices(vs) -> tuple[int, ...]:
+    return tuple([_index(v) for v in vs])
 
 
 def disp_q(mode: int, t: float) -> Gate:
     """``e^{itQ}`` on the given mode."""
-    return Gate(kind="disp_q", mode=mode, t=float(t))
+    return Gate(kind="disp_q", mode=_index(mode), t=float(t))
 
 
 def disp_p(mode: int, t: float) -> Gate:
     """``e^{-itP}`` on the given mode (position shift by ``t``)."""
-    return Gate(kind="disp_p", mode=mode, t=float(t))
+    return Gate(kind="disp_p", mode=_index(mode), t=float(t))
 
 
 def ctrl_disp_q(mode: int, qubit: int, t: float) -> Gate:
     """``ctrl e^{itQ}``: phase ``e^{itx}`` on the control-1 qubit branch."""
-    return Gate(kind="ctrl_disp_q", mode=mode, qubit=qubit, t=float(t))
+    return Gate(kind="ctrl_disp_q", mode=_index(mode), qubit=_index(qubit), t=float(t))
 
 
 def ctrl_disp_p(mode: int, qubit: int, t: float) -> Gate:
     """``ctrl e^{-itP}``: position shift by ``t`` on the control-1 branch."""
-    return Gate(kind="ctrl_disp_p", mode=mode, qubit=qubit, t=float(t))
+    return Gate(kind="ctrl_disp_p", mode=_index(mode), qubit=_index(qubit), t=float(t))
 
 
 def squeeze(mode: int, alpha: float) -> Gate:
     """``M_alpha`` on the given mode, ``alpha > 0``."""
-    return Gate(kind="squeeze", mode=mode, alpha=float(alpha))
+    return Gate(kind="squeeze", mode=_index(mode), alpha=float(alpha))
 
 
 def qubit_gate(name_or_matrix, qubits) -> Gate:
     """A named one-/two-qubit gate or an explicit 2x2 / 4x4 unitary matrix."""
-    if isinstance(qubits, int):
+    if isinstance(qubits, (int, np.integer)):
         qubits = (qubits,)
-    qubits = tuple(int(q) for q in qubits)
+    qubits = _indices(qubits)
     if isinstance(name_or_matrix, str):
         return Gate(kind="qubit_gate", name=name_or_matrix, qubits=qubits)
     mat = np.asarray(name_or_matrix, dtype=complex)
@@ -168,12 +197,12 @@ def blackbox(
     """An opaque subcircuit node with declared analysis parameters."""
     return Gate(
         kind="blackbox",
-        modes=tuple(int(a) for a in modes),
-        qubits=tuple(int(q) for q in qubits),
+        modes=_indices(modes),
+        qubits=_indices(qubits),
         g_bar=float(g_bar),
         xi_bar=float(xi_bar),
         eta=float(eta),
-        size=None if size is None else int(size),
+        size=None if size is None else _index(size),
     )
 
 
@@ -197,58 +226,55 @@ def target_modes(g: Gate) -> tuple[int, ...]:
     return (g.mode,)
 
 
-def acts_on_mode(g: Gate, alpha: int) -> bool:
-    return alpha in target_modes(g)
+def _check_index(v, bound: int, what: str, pos: int) -> None:
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise CircuitError(f"{what} index {v!r} is not an integer at gate {pos}", pos)
+    if not 0 <= v < bound:
+        raise CircuitError(f"{what} index out of range at gate {pos}", pos)
 
 
 def _validate_gate(g: Gate, m: int, r: int, pos: int) -> None:
-    if g.kind not in GATE_KINDS:
+    spec = KINDS.get(g.kind)
+    if spec is None:
         raise CircuitError(f"unknown gate kind {g.kind!r} at gate {pos}", pos)
-    if g.kind in DISPLACEMENT_KINDS or g.kind == "squeeze":
-        if g.mode is None or not (0 <= g.mode < m):
-            raise CircuitError(f"mode index out of range at gate {pos}", pos)
-    if g.kind in DISPLACEMENT_KINDS:
-        if g.t is None or not math.isfinite(g.t):
-            raise CircuitError(f"missing displacement strength t at gate {pos}", pos)
-    if g.kind in CONTROLLED_KINDS:
-        if g.qubit is None or not (0 <= g.qubit < r):
-            raise CircuitError(f"qubit index out of range at gate {pos}", pos)
-    if g.kind == "squeeze":
-        if g.alpha is None or not (g.alpha > 0) or not math.isfinite(g.alpha):
-            raise CircuitError(f"non-positive alpha at gate {pos}", pos)
+    fields = spec.fields
+    if "mode" in fields:
+        _check_index(g.mode, m, "mode", pos)
+    if "qubit" in fields:
+        _check_index(g.qubit, r, "qubit", pos)
+    if "modes" in fields:
+        for a in g.modes:
+            _check_index(a, m, "mode", pos)
+    if "qubits" in fields:
+        for q in g.qubits:
+            _check_index(q, r, "qubit", pos)
+    if "t" in fields and (g.t is None or not math.isfinite(g.t)):
+        raise CircuitError(f"missing displacement strength t at gate {pos}", pos)
+    if "alpha" in fields and (g.alpha is None or not (g.alpha > 0) or not math.isfinite(g.alpha)):
+        raise CircuitError(f"non-positive alpha at gate {pos}", pos)
     if g.kind == "qubit_gate":
         if (g.name is None) == (g.matrix is None):
             raise CircuitError(
                 f"qubit gate needs exactly one of name/matrix at gate {pos}", pos
             )
+        if g.name is not None and g.name not in NAMED_QUBIT_GATES:
+            raise CircuitError(f"unknown qubit gate name {g.name!r} at gate {pos}", pos)
         mat = gate_matrix(g)
-        dim = mat.shape[0]
-        if mat.shape not in ((2, 2), (4, 4)):
-            raise CircuitError(f"qubit matrix must be 2x2 or 4x4 at gate {pos}", pos)
-        expected = {2: 1, 4: 2}[dim]
-        if len(g.qubits) != expected:
+        k = len(g.qubits)
+        if k not in (1, 2) or mat.shape != (2 ** k, 2 ** k):
             raise CircuitError(
-                f"qubit gate arity mismatch ({len(g.qubits)} targets for "
-                f"{dim}x{dim} matrix) at gate {pos}",
+                f"qubit gate needs a 2x2 matrix on 1 qubit or a 4x4 on 2, got "
+                f"{mat.shape} on {k} at gate {pos}",
                 pos,
             )
-        if len(set(g.qubits)) != len(g.qubits):
+        if len(set(g.qubits)) != k:
             raise CircuitError(f"repeated qubit target at gate {pos}", pos)
-        for q in g.qubits:
-            if not (0 <= q < r):
-                raise CircuitError(f"qubit index out of range at gate {pos}", pos)
-        dev = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-        if dev > 1e-12:
+        # named gates come from NAMED_QUBIT_GATES, which a test checks for unitarity
+        if g.matrix is not None and np.abs(mat @ mat.conj().T - np.eye(2 ** k)).max() > 1e-12:
             raise CircuitError(f"non-unitary matrix at gate {pos}", pos)
     if g.kind == "blackbox":
         if not g.modes:
             raise CircuitError(f"blackbox needs at least one mode at gate {pos}", pos)
-        for a in g.modes:
-            if not (0 <= a < m):
-                raise CircuitError(f"mode index out of range at gate {pos}", pos)
-        for q in g.qubits:
-            if not (0 <= q < r):
-                raise CircuitError(f"qubit index out of range at gate {pos}", pos)
         if g.g_bar is None or g.g_bar < 1:
             raise CircuitError(f"blackbox requires g_bar >= 1 at gate {pos}", pos)
         if g.xi_bar is None or g.xi_bar < 0:
@@ -271,6 +297,11 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "m", _index(self.m))
+            object.__setattr__(self, "r", _index(self.r))
+        except TypeError as exc:
+            raise CircuitError(f"mode and qubit counts must be integers: {exc}") from exc
         if self.m < 0 or self.r < 0:
             raise CircuitError("mode and qubit counts must be non-negative")
         for i, g in enumerate(self.gates, start=1):
@@ -329,7 +360,7 @@ def gate_params(g: Gate) -> GateParams:
     """
     if g.kind == "squeeze":
         return GateParams(eta=g.alpha, xi=0.0)
-    if g.kind in DISPLACEMENT_KINDS:
+    if KINDS[g.kind].shifts:
         return GateParams(eta=1.0, xi=abs(g.t))
     if g.kind == "blackbox":
         return GateParams(eta=g.eta, xi=g.xi_bar)
@@ -342,7 +373,7 @@ def restrict_to_mode(c: Circuit, alpha: int) -> Circuit:
         raise CircuitError(f"mode index {alpha} out of range for m={c.m}")
     restricted = []
     for g in c.gates:
-        if not acts_on_mode(g, alpha):
+        if alpha not in target_modes(g):
             continue
         if g.kind == "blackbox":
             restricted.append(replace(g, modes=(0,)))
@@ -353,9 +384,10 @@ def restrict_to_mode(c: Circuit, alpha: int) -> Circuit:
 
 def adjoint_gate(g: Gate) -> Gate:
     """Gate-wise adjoint; blackbox declared parameters are adjoint-invariant."""
-    if g.kind in DISPLACEMENT_KINDS:
+    fields = KINDS[g.kind].fields
+    if "t" in fields:
         return replace(g, t=-g.t)
-    if g.kind == "squeeze":
+    if "alpha" in fields:
         return replace(g, alpha=1.0 / g.alpha)
     if g.kind == "qubit_gate":
         mat = gate_matrix(g).conj().T
@@ -378,46 +410,29 @@ def adjoint_circuit(c: Circuit) -> Circuit:
 
 def gate_to_dict(g: Gate) -> dict:
     d: dict = {"kind": g.kind}
-    if g.kind in DISPLACEMENT_KINDS:
-        d["mode"] = g.mode
-        d["t"] = g.t
-        if g.kind in CONTROLLED_KINDS:
-            d["qubit"] = g.qubit
-    elif g.kind == "squeeze":
-        d["mode"] = g.mode
-        d["alpha"] = g.alpha
-    elif g.kind == "qubit_gate":
-        d["qubits"] = list(g.qubits)
-        if g.name is not None:
-            d["name"] = g.name
-        else:
-            d["matrix"] = [[[v.real, v.imag] for v in row] for row in g.matrix]
-    elif g.kind == "blackbox":
-        d["modes"] = list(g.modes)
-        d["qubits"] = list(g.qubits)
-        d["g_bar"] = g.g_bar
-        d["xi_bar"] = g.xi_bar
-        d["eta"] = g.eta
-        if g.size is not None:
-            d["size"] = g.size
+    for f in KINDS[g.kind].fields:
+        v = getattr(g, f)
+        if v is not None:
+            d[f] = list(v) if isinstance(v, tuple) else v
+    if g.name is not None:
+        d["name"] = g.name
+    elif g.matrix is not None:
+        d["matrix"] = [[[v.real, v.imag] for v in row] for row in g.matrix]
     return d
+
+
+# JSON decoders of the integer fields; every other field is a float.
+_DECODERS = {"mode": _index, "qubit": _index, "modes": _indices, "qubits": _indices, "size": _index}
 
 
 def gate_from_dict(d: dict, pos: int) -> Gate:
     if not isinstance(d, dict) or "kind" not in d:
         raise CircuitError(f"gate object missing 'kind' at gate {pos}", pos)
     kind = d["kind"]
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise CircuitError(f"unknown gate kind {kind!r} at gate {pos}", pos)
     try:
-        if kind == "disp_q":
-            return disp_q(d["mode"], d["t"])
-        if kind == "disp_p":
-            return disp_p(d["mode"], d["t"])
-        if kind == "ctrl_disp_q":
-            return ctrl_disp_q(d["mode"], d["qubit"], d["t"])
-        if kind == "ctrl_disp_p":
-            return ctrl_disp_p(d["mode"], d["qubit"], d["t"])
-        if kind == "squeeze":
-            return squeeze(d["mode"], d["alpha"])
         if kind == "qubit_gate":
             qubits = d.get("qubits", d.get("qubit"))
             if qubits is None:
@@ -426,22 +441,17 @@ def gate_from_dict(d: dict, pos: int) -> Gate:
                 return qubit_gate(d["name"], qubits)
             mat = [[complex(re, im) for re, im in row] for row in d["matrix"]]
             return qubit_gate(mat, qubits)
-        if kind == "blackbox":
-            return blackbox(
-                d["modes"],
-                d.get("qubits", ()),
-                d["g_bar"],
-                d["xi_bar"],
-                d.get("eta", 1.0),
-                d.get("size"),
-            )
+        values = {}
+        for f in spec.fields:
+            v = d[f] if f in d else spec.defaults[f]
+            values[f] = None if v is None else _DECODERS.get(f, float)(v)
+        return Gate(kind, **values)
     except KeyError as exc:
         raise CircuitError(
             f"missing field {exc.args[0]!r} for {kind!r} at gate {pos}", pos
         ) from exc
     except (TypeError, ValueError) as exc:
         raise CircuitError(f"malformed gate at gate {pos}: {exc}", pos) from exc
-    raise CircuitError(f"unknown gate kind {kind!r} at gate {pos}", pos)
 
 
 def circuit_to_dict(c: Circuit) -> dict:
@@ -457,7 +467,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
     gates = tuple(
         gate_from_dict(g, i) for i, g in enumerate(doc["gates"], start=1)
     )
-    return Circuit(m=int(doc["m"]), r=int(doc["r"]), gates=gates)
+    return Circuit(m=doc["m"], r=doc["r"], gates=gates)
 
 
 def serialize_circuit(c: Circuit) -> str:

@@ -5,6 +5,10 @@ lowerbound, verify.  Artifacts are JSON (CSV for samples) and embed the
 toolkit version plus the fully resolved configuration, so identical
 configurations and seeds produce byte-identical outputs.
 
+Artifacts are standard JSON: a non-finite float (a linear bound that
+overflows a double) is written as ``null``, and the ``log2_*`` field beside
+it carries the magnitude.
+
 Exit codes: 0 success, 1 validation error, 2 resource-cap error.
 """
 
@@ -15,8 +19,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .bounds import donoho_stark_trace, radius_dimension_bound
@@ -44,7 +46,9 @@ def _mem_cap(args) -> float:
 
 def _emit(payload: dict, path: str | None) -> None:
     payload = {"toolkit_version": __version__, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
+    # a round trip turns the non-standard Infinity/NaN tokens into null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _token: None)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -170,7 +174,7 @@ def cmd_tradeoff(args) -> int:
     else:
         if args.epsilon is not None:
             log2_e, lin = required_energy(args.n, args.m, args.s, args.epsilon)
-            payload["required_energy"] = {"log2": log2_e, "linear": lin if math.isfinite(lin) else None}
+            payload["required_energy"] = {"log2": log2_e, "linear": lin}
         if args.energy is not None:
             payload["error_bound"] = sampling_error_bound(args.n, args.m, args.s, energy=args.energy)
         if args.ell is not None and args.delta is not None:

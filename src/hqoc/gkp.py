@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .moments import ceil_log2
 from .simulator import GridError, GridSpec, HybridState, centered_grid
@@ -222,7 +221,3 @@ def overlap_check(delta: float, eps: float, L: int) -> tuple[float, float]:
     bound = 1.0 - 16.0 * delta ** 2 - 2.0 * math.exp(-((eps / delta) ** 2))
     return float(overlap_sq), float(bound)
 
-
-def truncated_peak_norm_constant(delta: float, eps: float) -> float:
-    """Normalization of one truncated peak, exact via the error function."""
-    return (math.pi * delta ** 2) ** -0.25 / math.sqrt(float(erf(eps / delta)))

@@ -26,23 +26,9 @@ subcircuit composition bound, and is exact for elementary-only circuits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .circuit import (
-    Circuit,
-    CircuitError,
-    DISPLACEMENT_KINDS,
-    Gate,
-    adjoint_circuit,  # noqa: F401  (re-exported convenience)
-    ctrl_disp_p,
-    ctrl_disp_q,
-    disp_p,
-    disp_q,
-    gate_params,
-    restrict_to_mode,
-    squeeze,
-    target_modes,
-)
+from .circuit import KINDS, Circuit, CircuitError, Gate, gate_params, squeeze, target_modes
 
 LOG2_168 = math.log2(168.0)
 
@@ -106,19 +92,15 @@ def generator_mlf(g: Gate) -> MomentWindowMap:
     parameters; their internal windows are unknown, so circuit-level window
     composition rejects them (see :func:`circuit_window_trajectory`).
     """
-    if g.kind == "disp_p":
-        return MomentWindowMap(a=(1, 1, 1, 1), b=(g.t, g.t, 0, 0))
-    if g.kind == "disp_q":
-        return MomentWindowMap(a=(1, 1, 1, 1), b=(0, 0, g.t, g.t))
+    spec = KINDS.get(g.kind)
+    if spec is not None and spec.shifts:
+        # a controlled shift moves one branch only: the window widens both ways
+        lo, hi = (-abs(g.t), abs(g.t)) if spec.controlled else (g.t, g.t)
+        b = (lo, hi, 0, 0) if spec.shifts == "x" else (0, 0, lo, hi)
+        return MomentWindowMap(a=(1, 1, 1, 1), b=b)
     if g.kind == "squeeze":
         al = g.alpha
         return MomentWindowMap(a=(al, al, 1 / al, 1 / al), b=(0, 0, 0, 0))
-    if g.kind == "ctrl_disp_p":
-        s = abs(g.t)
-        return MomentWindowMap(a=(1, 1, 1, 1), b=(-s, s, 0, 0))
-    if g.kind == "ctrl_disp_q":
-        s = abs(g.t)
-        return MomentWindowMap(a=(1, 1, 1, 1), b=(0, 0, -s, s))
     if g.kind == "qubit_gate":
         return IDENTITY_MAP
     if g.kind == "blackbox":
@@ -296,10 +278,6 @@ class EnergyBoundDetail:
     bound: float
     log2_bound: float
 
-    @property
-    def tight_bound(self) -> float:
-        return self.u + self.v
-
 
 def _log2_two_plus_cube(x: float) -> float:
     """log2(2 + x^3), safe for huge x."""
@@ -441,27 +419,15 @@ def substitute_bounded_strength(c: Circuit) -> Circuit:
                 f"outside (1/2, 2) at gate {i}",
                 i,
             )
-        if g.kind not in DISPLACEMENT_KINDS or abs(g.t) <= 1.0:
+        shifts = KINDS[g.kind].shifts
+        if not shifts or abs(g.t) <= 1.0:
             out.append(g)
             continue
         plan = substitution_plan(g.t)
-        beta, n, sgn = plan.beta, plan.n_reps, plan.sign
-        if g.kind in ("disp_q", "ctrl_disp_q"):
-            pre, post = beta, 1.0 / beta
-            unit = (
-                disp_q(g.mode, float(sgn))
-                if g.kind == "disp_q"
-                else ctrl_disp_q(g.mode, g.qubit, float(sgn))
-            )
-        else:
-            pre, post = 1.0 / beta, beta
-            unit = (
-                disp_p(g.mode, float(sgn))
-                if g.kind == "disp_p"
-                else ctrl_disp_p(g.mode, g.qubit, float(sgn))
-            )
+        beta, n = plan.beta, plan.n_reps
+        pre, post = (beta, 1.0 / beta) if shifts == "p" else (1.0 / beta, beta)
         out.extend([squeeze(g.mode, pre)] * n)
-        out.append(unit)
+        out.append(replace(g, t=float(plan.sign)))
         out.extend([squeeze(g.mode, post)] * n)
     return Circuit(m=c.m, r=c.r, gates=tuple(out))
 

@@ -23,7 +23,7 @@ concatenated and the trailing dummy bits discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,9 +37,25 @@ from .circuit import (
     qubit_gate,
     squeeze,
 )
-from .gkp import CombStateSpec, GkpParams, aux_params, canonical_params, comb_wavefunction, default_comb_grid
-from .moments import ceil_log2
-from .simulator import GridSpec, HybridState, apply_circuit, check_mem_cap, homodyne_sample, vacuum_state
+from .gkp import (
+    CombStateSpec,
+    aux_params,
+    canonical_params,
+    comb_wavefunction,
+    default_comb_grid,
+    untruncated_comb_wavefunction,
+)
+from .moments import analysis_report, ceil_log2
+from .simulator import (
+    GridSpec,
+    HybridState,
+    apply_circuit,
+    auto_grid,
+    check_mem_cap,
+    homodyne_sample,
+    trace_distance,
+    vacuum_state,
+)
 
 
 @dataclass(frozen=True)
@@ -198,8 +214,6 @@ def build_wprep(m: int, ell: int, delta: float) -> Circuit:
 
 
 def _relabel_mode(g: Gate, alpha: int) -> Gate:
-    from dataclasses import replace
-
     if g.kind == "qubit_gate":
         return g
     return replace(g, mode=alpha)
@@ -419,8 +433,6 @@ def run_sampling_scheme(
         state = apply_circuit(state, Circuit(m=m, r=0, gates=tuple(shift_gates)))
     ys, _zs = homodyne_sample(state, shots, seed)
     samples = np.array([post_process(y, layout) for y in ys], dtype=np.int64)
-    from .moments import analysis_report
-
     u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
     w_tot = build_pipeline_circuits(u_ext, n, m, delta).w_tot
     budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
@@ -442,8 +454,6 @@ def sample_encoded_state(
 
 def simulate_prep(n: int, delta: float, margin: float = 0.3, mem_cap_mb: float = 2048.0):
     """Simulate the comb preparation from vacuum; returns (state, circuit)."""
-    from .simulator import auto_grid
-
     c = build_prep_circuit(n, delta)
     grids = auto_grid(c, base_margin=margin, mem_cap_mb=mem_cap_mb)
     state = vacuum_state(1, 1, grids)
@@ -452,8 +462,6 @@ def simulate_prep(n: int, delta: float, margin: float = 0.3, mem_cap_mb: float =
 
 def prep_target_state(n: int, delta: float, grid: GridSpec) -> HybridState:
     """Analytic target |Sha_{2^n, Delta}> (x) |0> on the given grid."""
-    from .gkp import untruncated_comb_wavefunction
-
     comb = untruncated_comb_wavefunction(2 ** n, delta, grid)
     amps = np.zeros(comb.amps.shape + (2,), dtype=complex)
     amps[:, 0] = comb.amps
@@ -487,9 +495,6 @@ def simulate_wprep_factorized(m: int, ell: int, delta: float, margin: float = 0.
     targets accumulate (triangle inequality) into the preparation error,
     which must stay below 50 m (sqrt(Delta) + 2^{2 ell} Delta^2).
     """
-    from .simulator import auto_grid, trace_distance
-    from .moments import AnalysisError  # noqa: F401
-
     blocks = [("code", build_code_prep(ell, delta), code_prep_target)] * m
     blocks.append(("aux", build_aux_prep(ell, delta), aux_prep_target))
     per_block = []

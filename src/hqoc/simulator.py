@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, Gate, gate_matrix, target_modes
-from .moments import AnalysisError, Window, circuit_window_trajectory, generator_mlf
+from .circuit import KINDS, Circuit, Gate, gate_matrix
+from .moments import AnalysisError, Window, circuit_window_trajectory
 
 # Radius containing all but <= 1e-12 of the vacuum's position/momentum mass.
 VACUUM_TAIL_RADIUS = 5.1
@@ -171,10 +171,6 @@ def vacuum_state(m: int, r: int, grids) -> HybridState:
     return state
 
 
-def _qubit_axis(state: HybridState, q: int) -> int:
-    return state.m + q
-
-
 def _apply_qubit_matrix(amps: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest)."""
     k = len(axes)
@@ -208,7 +204,7 @@ def apply_gate(state: HybridState, g: Gate) -> HybridState:
 
     if g.kind == "qubit_gate":
         mat = gate_matrix(g)
-        axes = tuple(_qubit_axis(state, q) for q in g.qubits)
+        axes = tuple(state.m + q for q in g.qubits)
         amps = _apply_qubit_matrix(amps, mat, axes)
         return HybridState(state.m, state.r, grids, amps)
 
@@ -217,36 +213,25 @@ def apply_gate(state: HybridState, g: Gate) -> HybridState:
         grids[g.mode] = replace(grid, dx=grid.dx * g.alpha, x0=grid.x0 * g.alpha)
         return HybridState(state.m, state.r, grids, amps)
 
-    if g.kind == "disp_q":
-        shape = [1] * amps.ndim
+    spec = KINDS[g.kind]
+    branch_of = Ellipsis
+    if spec.controlled:  # act on the control-bit-1 branch only
+        branch_of = (slice(None),) * (state.m + g.qubit) + (1,)
+    branch = amps[branch_of]
+    if spec.shifts == "p":
+        shape = [1] * branch.ndim
         shape[g.mode] = grid.n_points
-        phase = np.exp(1j * g.t * grid.xs).reshape(shape)
-        return HybridState(state.m, state.r, grids, amps * phase)
-
-    if g.kind == "disp_p":
-        out = _shift_mode(amps, grid, g.mode, g.t)
-        new = HybridState(state.m, state.r, grids, out)
-        _check_overflow(new)
-        return new
-
-    if g.kind in ("ctrl_disp_q", "ctrl_disp_p"):
+        moved = branch * np.exp(1j * g.t * grid.xs).reshape(shape)
+    else:
+        moved = _shift_mode(branch, grid, g.mode, g.t)
+    out = moved
+    if spec.controlled:
         out = amps.copy()
-        sl = [slice(None)] * amps.ndim
-        sl[_qubit_axis(state, g.qubit)] = 1
-        sl = tuple(sl)
-        branch = amps[sl]
-        if g.kind == "ctrl_disp_q":
-            shape = [1] * branch.ndim
-            shape[g.mode] = grid.n_points
-            out[sl] = branch * np.exp(1j * g.t * grid.xs).reshape(shape)
-        else:
-            out[sl] = _shift_mode(branch, grid, g.mode, g.t)
-        new = HybridState(state.m, state.r, grids, out)
-        if g.kind == "ctrl_disp_p":
-            _check_overflow(new)
-        return new
-
-    raise ValueError(f"cannot simulate gate kind {g.kind!r}")
+        out[branch_of] = moved
+    new = HybridState(state.m, state.r, grids, out)
+    if spec.shifts == "x":
+        _check_overflow(new)
+    return new
 
 
 def _check_overflow(state: HybridState) -> None:
@@ -334,64 +319,24 @@ def _check_same_grids(a: HybridState, b: HybridState) -> None:
 def homodyne_sample(
     state: HybridState, shots: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (y, z): qubit bits from their marginal, positions cell-wise.
+    """Sample (y, z) jointly: mode cells and qubit bits from ``|amps|^2``.
 
     Returns ``(ys, zs)`` with shapes ``(shots, m)`` and ``(shots, r)``;
     positions are reported at cell centers.  The stream is a deterministic
     function of the seed.
     """
     rng = np.random.default_rng(seed)
-    dens = np.abs(state.amps) ** 2
-    dens /= dens.sum()
-    qubit_axes = tuple(range(state.m, dens.ndim))
-    lam = dens.sum(axis=tuple(range(state.m))) if state.r else None
-
-    ys = np.empty((shots, state.m))
-    zs = np.empty((shots, state.r), dtype=np.int64)
-    if state.r:
-        flat_lam = lam.reshape(-1)
-        z_idx = rng.choice(flat_lam.size, size=shots, p=flat_lam / flat_lam.sum())
-        bits = np.stack(np.unravel_index(z_idx, lam.shape), axis=1)
-        zs[:] = bits
-    else:
-        z_idx = np.zeros(shots, dtype=np.int64)
-
-    # group shots by qubit outcome and sample mode cells from that branch
-    for z in np.unique(z_idx):
-        mask = z_idx == z
-        take = int(mask.sum())
-        if state.r:
-            branch = dens[(Ellipsis,) + tuple(np.unravel_index(z, (2,) * state.r))]
-        else:
-            branch = dens
-        branch = branch / branch.sum()
-        idx = _sample_cells(branch, take, rng)
-        for a in range(state.m):
-            ys[mask, a] = state.grids[a].xs[idx[a]]
-    return ys, zs
-
-
-def _sample_cells(density: np.ndarray, shots: int, rng) -> list[np.ndarray]:
-    """Sample joint cell indices, mode by mode via conditionals."""
-    if density.ndim == 1:
-        cdf = np.cumsum(density)
-        cdf /= cdf[-1]
-        idx = np.searchsorted(cdf, rng.random(shots), side="right")
-        return [np.minimum(idx, density.size - 1)]
-    # first-axis marginal, then recurse on conditional slices
-    marg = density.sum(axis=tuple(range(1, density.ndim)))
-    cdf = np.cumsum(marg)
+    cdf = np.cumsum(np.abs(state.amps.ravel()) ** 2)
     cdf /= cdf[-1]
-    first = np.minimum(
-        np.searchsorted(cdf, rng.random(shots), side="right"), density.shape[0] - 1
-    )
-    rest = [np.empty(shots, dtype=np.int64) for _ in range(density.ndim - 1)]
-    for i in np.unique(first):
-        mask = first == i
-        sub = _sample_cells(density[i] / density[i].sum(), int(mask.sum()), rng)
-        for k, arr in enumerate(sub):
-            rest[k][mask] = arr
-    return [first] + rest
+    flat = np.searchsorted(cdf, rng.random(shots), side="right")
+    cells = np.unravel_index(np.minimum(flat, cdf.size - 1), state.amps.shape)
+    ys = np.empty((shots, state.m))
+    for a, grid in enumerate(state.grids):
+        ys[:, a] = grid.xs[cells[a]]
+    zs = np.empty((shots, state.r), dtype=np.int64)
+    for q in range(state.r):
+        zs[:, q] = cells[state.m + q]
+    return ys, zs
 
 
 # -- automatic grid sizing --------------------------------------------------------

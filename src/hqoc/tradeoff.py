@@ -22,21 +22,6 @@ MODE_EXPONENT = 24.0
 ENERGY_EXPONENT = 1.0 / 42.0
 
 
-@dataclass(frozen=True)
-class TradeoffInput:
-    n: int
-    m: int
-    s: int
-    energy: float | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if min(self.n, self.m, self.s) < 1:
-            raise ValueError("n, m, s must be positive")
-        if self.epsilon is not None and not (0 < self.epsilon <= 2):
-            raise ValueError("epsilon must lie in (0, 2]")
-
-
 def _to_linear(log2_value: float) -> float:
     return 2.0 ** log2_value if log2_value < 1024 else math.inf
 

@@ -6,26 +6,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hqoc.circuit import (
+    GATE_KINDS,
     Circuit,
     CircuitError,
     Gate,
     StrengthBounds,
     adjoint_circuit,
+    adjoint_gate,
     blackbox,
     conforms_to,
     ctrl_disp_p,
     ctrl_disp_q,
     disp_p,
     disp_q,
+    gate_from_dict,
     gate_matrix,
     gate_params,
+    gate_to_dict,
     parse_circuit,
     qubit_gate,
     restrict_to_mode,
     serialize_circuit,
     squeeze,
 )
-from hqoc.moments import circuit_params
+from hqoc.moments import AnalysisError, MomentWindowMap, circuit_params, generator_mlf
+from hqoc.simulator import apply_gate, centered_grid, vacuum_state
 
 
 def test_parse_single_squeeze_round_trip():
@@ -57,6 +62,75 @@ def test_blackbox_passthrough():
     g = c.gates[0]
     assert (g.g_bar, g.xi_bar, g.eta, g.size) == (4.0, 36.0, 1.0, 36)
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": 1.5, "r": 0, "gates": []},
+        {"m": 1, "r": True, "gates": []},
+        {"m": 2, "r": 0, "gates": [{"kind": "disp_q", "mode": 0.7, "t": 1.0}]},
+        {"m": 2, "r": 0, "gates": [{"kind": "disp_q", "mode": True, "t": 1.0}]},
+        {"m": 1, "r": 2, "gates": [{"kind": "ctrl_disp_p", "mode": 0, "qubit": 1.0, "t": 1.0}]},
+        {"m": 1, "r": 0, "gates": [{"kind": "squeeze", "mode": 0.0, "alpha": 2.0}]},
+        {"m": 2, "r": 1, "gates": [{"kind": "blackbox", "modes": [0, 1.0], "g_bar": 2.0, "xi_bar": 1.0}]},
+        {"m": 0, "r": 2, "gates": [{"kind": "qubit_gate", "name": "H", "qubits": [False]}]},
+        {"m": 0, "r": 1, "gates": [{"kind": "qubit_gate", "name": "Y", "qubits": [0]}]},
+    ],
+    ids=["m-float", "r-bool", "mode-float", "mode-bool", "qubit-float", "mode-0.0",
+         "modes-float", "qubits-bool", "unknown-name"],
+)
+def test_parser_rejects_bad_gates_with_position(doc):
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(json.dumps(doc))
+    assert err.value.position == (1 if doc["gates"] else None)
+
+
+def test_validator_rejects_non_integer_index_with_position():
+    with pytest.raises(CircuitError, match="not an integer at gate 2") as err:
+        Circuit(1, 1, (squeeze(0, 2.0), Gate(kind="disp_p", mode=0.0, t=1.0)))
+    assert err.value.position == 2
+
+
+def test_constructors_take_numpy_integers_and_reject_floats():
+    g = ctrl_disp_q(np.int64(1), np.int32(0), 0.5)
+    assert type(g.mode) is int and type(g.qubit) is int
+    assert Circuit(2, 1, (g, Gate(kind="disp_q", mode=np.int64(1), t=0.5))).m == 2
+    assert type(Circuit(np.int64(1), np.int64(0)).m) is int
+    for bad in (1.0, True, np.bool_(True)):
+        with pytest.raises(TypeError):
+            disp_q(bad, 0.5)
+        with pytest.raises(TypeError):
+            qubit_gate("H", bad)
+        with pytest.raises(CircuitError, match="counts must be integers"):
+            Circuit(bad, 0)
+
+
+SAMPLE_GATES = {
+    "disp_q": disp_q(0, 0.3),
+    "disp_p": disp_p(0, -0.7),
+    "ctrl_disp_q": ctrl_disp_q(0, 0, 0.3),
+    "ctrl_disp_p": ctrl_disp_p(0, 0, -0.7),
+    "squeeze": squeeze(0, 1.5),
+    "qubit_gate": qubit_gate("S", 0),
+    "blackbox": blackbox((0,), (0,), g_bar=2.0, xi_bar=1.0, eta=0.5, size=3),
+}
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_every_kind_is_supported_end_to_end(kind):
+    # a kind added to the KINDS table must get a sample gate here and pass every layer
+    g = SAMPLE_GATES[kind]
+    assert g.kind == kind
+    assert gate_from_dict(gate_to_dict(g), 1) == g
+    assert adjoint_gate(adjoint_gate(g)) == g
+    assert isinstance(generator_mlf(g), MomentWindowMap)
+    state = apply_gate(vacuum_state(1, 1, [centered_grid(512, 0.05)]), qubit_gate("H", 0))
+    if kind == "blackbox":
+        with pytest.raises(AnalysisError):
+            apply_gate(state, g)
+    else:
+        assert apply_gate(state, g).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qubit_index_validation():

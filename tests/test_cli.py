@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,7 +128,13 @@ def test_sample_logical_gate_at_ell_3(tmp_path):
     assert main(["sample", "--n", "3", "--m", "1", "--delta", "0.01", "--logical", "X:1",
                  "--shots", "10", "--out", str(out), "--budget-out", str(bud)]) == 0
     assert set(out.read_text().splitlines()) == {"100"}
-    assert math.isfinite(json.loads(bud.read_text())["energy_report"]["log2_energy_upper_bound"])
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(bud.read_text(), parse_constant=reject)["energy_report"]
+    assert math.isfinite(report["log2_energy_upper_bound"])
+    assert report["energy_upper_bound"] is None  # overflowed: the log2 field carries it
 
 
 @pytest.mark.parametrize("n_points", [128, 1024])
@@ -149,3 +159,12 @@ def test_sample_mem_cap_exit_code(monkeypatch):
     assert main(args + ["--mem-cap-mb", "0.001"]) == 2
     monkeypatch.setenv("HQOC_MEM_CAP_MB", "0.001")
     assert main(args) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy costs most of the package's import time; hqoc and its CLI use numpy only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hqoc, hqoc.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

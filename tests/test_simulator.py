@@ -144,6 +144,23 @@ def test_homodyne_statistics_and_determinism():
     assert not np.array_equal(ys[:1000], ys3)
 
 
+def test_homodyne_without_modes_samples_qubit_bits():
+    # m = 0: a two-qubit state (0.6|00> + 0.8|11>)
+    st = HybridState(0, 2, (), np.array([[0.6, 0.0], [0.0, 0.8]], dtype=complex))
+    ys, zs = homodyne_sample(st, 20_000, seed=5)
+    assert ys.shape == (20_000, 0) and zs.shape == (20_000, 2)
+    assert np.array_equal(zs[:, 0], zs[:, 1])
+    assert zs[:, 0].mean() == pytest.approx(0.64, abs=0.015)
+
+
+def test_homodyne_without_qubits():
+    v = vacuum_state(1, 0, [GRID])
+    ys, zs = homodyne_sample(v, 50_000, seed=6)
+    assert ys.shape == (50_000, 1) and zs.shape == (50_000, 0)
+    assert np.all(np.isin(ys[:, 0], GRID.xs))  # cell centres
+    assert ys.var() == pytest.approx(0.5, abs=0.02)
+
+
 def test_homodyne_branch_dependence():
     v = make_vacuum()
     st = apply_gate(v, qubit_gate("H", 0))
