@@ -248,7 +248,7 @@ def criterion_6() -> CriterionResult:
                 amps[:, 0] = psi / np.linalg.norm(psi) / math.sqrt(2)
                 amps[:, 1] = amps[:, 0]  # exercise the controlled branch
                 st = HybridState(1, 1, grids, amps)
-                worst_fid = min(worst_fid, fidelity(apply_circuit(st.copy(), c), apply_circuit(st.copy(), sub)))
+                worst_fid = min(worst_fid, fidelity(apply_circuit(st, c), apply_circuit(st, sub)))
     ok = ok_strength and params_ok and worst_fid >= 1.0 - 1e-8
     rt = time.time() - t0
     return CriterionResult(

@@ -25,7 +25,10 @@ from .bounds import donoho_stark_trace, radius_dimension_bound
 from .circuit import Circuit, CircuitError, parse_circuit, serialize_circuit
 from .moments import AnalysisError, analysis_report, substitute_bounded_strength
 from .pipeline import build_code_prep, build_prep_circuit, run_sampling_scheme
-from .simulator import GridError, ResourceCapError, apply_circuit, auto_grid, centered_grid, energy_expectation, state_dump, vacuum_state
+from .simulator import (
+    WORKING_SET_COPIES, GridError, ResourceCapError, apply_circuit, auto_grid, centered_grid,
+    check_mem_cap, energy_expectation, state_dump, vacuum_state,
+)
 from .tradeoff import (
     implementation_energy_bound,
     regime_table,
@@ -34,7 +37,10 @@ from .tradeoff import (
 )
 
 DEFAULT_MEM_CAP_MB = 1024.0
-MEM_CAP_HELP = "memory cap for the state in MB (default: $HQOC_MEM_CAP_MB, else 1024)"
+MEM_CAP_HELP = (
+    f"memory cap in MB for the run's working set, {WORKING_SET_COPIES}x the state"
+    " (default: $HQOC_MEM_CAP_MB, else 1024)"
+)
 
 
 def _mem_cap(args) -> float:
@@ -89,6 +95,7 @@ def cmd_simulate(args) -> int:
     grids = auto_grid(c, base_margin=args.margin, mem_cap_mb=_mem_cap(args))
     if args.grid_points:
         grids = [centered_grid(args.grid_points, g.dx) for g in grids]
+        check_mem_cap(grids, c.r, _mem_cap(args))
     state = apply_circuit(vacuum_state(c.m, c.r, grids), c)
     energies, emax = energy_expectation(state)
     payload = {

@@ -355,8 +355,8 @@ def encode_basis_state(
 ) -> HybridState:
     """Analytic encoding of a computational basis state into m comb modes.
 
-    Raises ``ResourceCapError`` before allocating if the joint grid's
-    amplitudes would exceed ``mem_cap_mb``.
+    Raises ``ResourceCapError`` before allocating if the run's working set on
+    the joint grid (``simulator.check_mem_cap``) would exceed ``mem_cap_mb``.
     """
     bits = tuple(int(b) for b in bits)
     if len(bits) != layout.n:

@@ -123,6 +123,13 @@ def test_mem_cap_exit_code(circuit_file):
     assert main(["simulate", str(circuit_file), "--mem-cap-mb", "0.0001"]) == 2
 
 
+def test_simulate_grid_points_checks_mem_cap(circuit_file):
+    # the automatic 256-point grid fits 1 MB; 65,536 points x 2 branches need 4 x 2 MB
+    args = ["simulate", str(circuit_file), "--mem-cap-mb", "1"]
+    assert main(args) == 0
+    assert main(args + ["--grid-points", "65536"]) == 2
+
+
 def test_sample_logical_gate_at_ell_3(tmp_path):
     out, bud = tmp_path / "x.csv", tmp_path / "budget.json"
     assert main(["sample", "--n", "3", "--m", "1", "--delta", "0.01", "--logical", "X:1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from hqoc.circuit import (
 from hqoc.moments import circuit_params, circuit_window_trajectory, energy_upper_bound
 from hqoc.simulator import (
     VACUUM_TAIL_RADIUS,
+    WORKING_SET_COPIES,
     GridError,
     GridMismatchError,
     GridOverflowError,
+    GridSpec,
     HybridState,
+    _linear_phase,
+    _momentum_phase,
     ResourceCapError,
     apply_circuit,
     apply_gate,
@@ -247,6 +252,101 @@ def test_grid_overflow_reports_gate():
     c = Circuit(1, 0, (disp_p(0, 9.0),))
     with pytest.raises(GridOverflowError, match="gate 1"):
         apply_circuit(v, c)
+
+
+def test_non_finite_grid_geometry_names_gate():
+    for dx, x0 in ((math.inf, 0.0), (math.nan, 0.0), (0.1, -math.inf), (0.1, math.nan)):
+        with pytest.raises(GridError, match="not finite"):
+            GridSpec(256, dx, x0)
+    # dx = 0.1 -> 1e149 -> 1e299 -> inf: the third squeezer overflows
+    v = vacuum_state(1, 0, [centered_grid(256, 0.1)])
+    with pytest.raises(GridError, match="gate 3"):
+        apply_circuit(v, Circuit(1, 0, (squeeze(0, 1e150),) * 3))
+
+
+def _bits(state):
+    return state.amps.tobytes(), state.grids
+
+
+def test_kernels_never_write_their_input():
+    # squeeze and the qubit gate lead, so a kernel that wrote through a
+    # shared array (or skipped the copy) would change the input
+    gates = (squeeze(0, 1.3), qubit_gate("H", 0), ctrl_disp_p(0, 0, 0.37),
+             disp_q(0, 0.8), disp_p(0, -0.29), squeeze(0, 1 / 1.3))
+    v = make_vacuum()
+    before = _bits(v)
+    out = apply_circuit(v, Circuit(1, 1, gates))
+    assert _bits(v) == before
+    st = v
+    for g in gates:
+        before = _bits(st)
+        nxt = apply_gate(st, g)
+        assert _bits(st) == before, g.kind
+        st = nxt
+    assert np.array_equal(st.amps, out.amps)
+
+
+def test_overflow_mid_circuit_leaves_input():
+    v = vacuum_state(1, 1, [centered_grid(256, 24.0 / 256)])
+    c = Circuit(1, 1, (qubit_gate("H", 0), disp_q(0, 0.5), disp_p(0, 2.01), disp_p(0, 9.01)))
+    before = _bits(v)
+    with pytest.raises(GridOverflowError, match="gate 4"):
+        apply_circuit(v, c)
+    assert _bits(v) == before
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 256, 2 ** 15, 2 ** 19])
+def test_linear_phase_matches_exp(n):
+    for v0, step in ((0.0, 0.1), (-3.7, 1e-3), (12.0, -0.77)):
+        theta = v0 + step * np.arange(n)
+        err = np.abs(_linear_phase(v0, step, n) - np.exp(1j * theta)).max()
+        assert err <= 1e-15 * (8 + np.abs(theta).max())
+
+
+@pytest.mark.parametrize("log2_n", [1, 2, 9, 10, 15, 16])
+def test_momentum_phase_matches_exp(log2_n):
+    grid = centered_grid(2 ** log2_n, 0.013)
+    for t in (0.3, -2.17, 37.1):
+        theta = -t * grid.momenta
+        err = np.abs(_momentum_phase(grid, t) - np.exp(1j * theta)).max()
+        assert err <= 1e-15 * (8 + np.abs(theta).max())
+
+
+def test_fractional_shift_matches_fft_reference():
+    v = apply_gate(make_vacuum(), qubit_gate("H", 0))
+    t = 0.7371  # 47.17 cells
+    spec = np.fft.fft(v.amps, axis=0, norm="ortho") * np.exp(-1j * t * GRID.momenta)[:, None]
+    ref = np.fft.ifft(spec, axis=0, norm="ortho")
+    assert np.abs(apply_gate(v, disp_p(0, t)).amps - ref).max() <= 1e-12
+    ref_ctrl = v.amps.copy()
+    ref_ctrl[:, 1] = ref[:, 1]
+    assert np.abs(apply_gate(v, ctrl_disp_p(0, 0, t)).amps - ref_ctrl).max() <= 1e-12
+    ref_kick = v.amps * np.exp(1j * t * GRID.xs)[:, None]
+    assert np.abs(apply_gate(v, disp_q(0, t)).amps - ref_kick).max() <= 1e-12
+
+
+def _peak_copies(run, amp_bytes):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / amp_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_within_mem_cap_constant():
+    from hqoc.pipeline import EncodingLayout, build_prep_circuit, encoding_grid, run_sampling_scheme
+
+    c = build_prep_circuit(8, 0.02)
+    grids = auto_grid(c, base_margin=0.3)
+    cells = 2 ** c.r * grids[0].n_points
+    peak = _peak_copies(lambda: apply_circuit(vacuum_state(1, 1, grids), c), 16 * cells)
+    assert peak <= WORKING_SET_COPIES
+
+    u = Circuit(0, 2, (qubit_gate("X", 0), qubit_gate("X", 1)))
+    cells = encoding_grid(EncodingLayout(n=2, m=1), 0.01).n_points
+    peak = _peak_copies(lambda: run_sampling_scheme(u, 2, 1, 0.01, 1000, 1), 16 * cells)
+    assert peak <= WORKING_SET_COPIES
 
 
 def test_inner_product_conjugate_symmetry():
