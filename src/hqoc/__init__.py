@@ -2,105 +2,8 @@
 
 Circuit IR and static moment analysis, GKP comb-state encoding and
 measurement, desk-scale grid simulation with homodyne sampling, and the
-energy trade-off / lower-bound calculators.
+energy trade-off / lower-bound calculators.  Import the modules directly,
+e.g. ``from hqoc import simulator``.
 """
 
 __version__ = "0.1.0"
-
-from .circuit import (
-    Circuit,
-    CircuitError,
-    Gate,
-    GateParams,
-    StrengthBounds,
-    adjoint_circuit,
-    blackbox,
-    conforms_to,
-    ctrl_disp_p,
-    ctrl_disp_q,
-    disp_p,
-    disp_q,
-    gate_params,
-    parse_circuit,
-    qubit_gate,
-    restrict_to_mode,
-    serialize_circuit,
-    squeeze,
-)
-from .moments import (
-    AnalysisError,
-    CircuitMomentParams,
-    EnergyBoundDetail,
-    MomentWindowMap,
-    SubstitutionPlan,
-    analysis_report,
-    analyze,
-    circuit_params,
-    compose_mlf,
-    dressed_params,
-    energy_upper_bound,
-    generator_mlf,
-    substitute_bounded_strength,
-    substitution_plan,
-)
-from .gkp import (
-    CombStateSpec,
-    GkpParams,
-    aux_params,
-    canonical_params,
-    comb_spec,
-    comb_wavefunction,
-    default_comb_grid,
-    overlap_check,
-    support_set,
-)
-from .simulator import (
-    GridError,
-    GridOverflowError,
-    GridSpec,
-    HybridState,
-    ResourceCapError,
-    apply_circuit,
-    apply_gate,
-    auto_grid,
-    centered_grid,
-    energy_expectation,
-    fidelity,
-    homodyne_sample,
-    inner_product,
-    trace_distance,
-    vacuum_state,
-)
-from .pipeline import (
-    EncodingLayout,
-    ErrorBudget,
-    PipelineCircuits,
-    SamplingRun,
-    build_aux_prep,
-    build_code_prep,
-    build_pipeline_circuits,
-    build_prep_circuit,
-    build_wprep,
-    build_wu,
-    encode_basis_state,
-    encode_state,
-    error_budget,
-    post_process,
-    run_sampling_scheme,
-)
-from .tradeoff import (
-    implementation_energy_bound,
-    log2_required_energy,
-    regime_table,
-    required_energy,
-    sampling_error_bound,
-)
-from .bounds import (
-    ConcentrationStats,
-    DiscreteDistribution,
-    diam_delta,
-    donoho_stark_trace,
-    energy_lower_bound_from_radius,
-    radius_dimension_bound,
-    symradius_delta,
-)

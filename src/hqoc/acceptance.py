@@ -29,10 +29,12 @@ from .circuit import (
     Circuit,
     DISPLACEMENT_KINDS,
     Gate,
+    StrengthBounds,
+    conforms_to,
     qubit_gate,
     squeeze,
 )
-from .gkp import CombStateSpec, canonical_params, comb_wavefunction, default_comb_grid, overlap_check
+from .gkp import comb_family, overlap_check
 from .moments import (
     circuit_params,
     circuit_window_trajectory,
@@ -44,6 +46,7 @@ from .pipeline import (
     EncodingLayout,
     encode_basis_state,
     encode_state,
+    error_budget,
     prep_size_formula,
     prep_target_state,
     sample_encoded_state,
@@ -82,25 +85,28 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} {self.name}: {self.runtime:.1f}s{lim}"
 
 
-def random_circuit(rng, m: int = 1, r: int = 1, max_gates: int = 12, strength: float = 2.0) -> Circuit:
-    """Random elementary circuit with displacement/squeeze strengths <= ``strength``."""
+# Strength cap of random circuits: |t| <= STRENGTH and 1/STRENGTH <= alpha <= STRENGTH.
+STRENGTH = 2.0
+
+
+def random_circuit(rng, max_gates: int = 12) -> Circuit:
+    """Random elementary circuit on one mode and one qubit, strengths <= ``STRENGTH``."""
     T = int(rng.integers(1, max_gates + 1))
     gates = []
     for _ in range(T):
         kind = rng.choice(
             ["disp_q", "disp_p", "ctrl_disp_q", "ctrl_disp_p", "squeeze", "qubit_gate"]
         )
-        mode = int(rng.integers(0, m))
         if kind == "squeeze":
-            al = float(np.exp(rng.uniform(-math.log(strength), math.log(strength))))
-            gates.append(squeeze(mode, al))
+            al = float(np.exp(rng.uniform(-math.log(STRENGTH), math.log(STRENGTH))))
+            gates.append(squeeze(0, al))
         elif kind == "qubit_gate":
-            gates.append(qubit_gate(str(rng.choice(["H", "S", "T", "X", "Z"])), int(rng.integers(0, r))))
+            gates.append(qubit_gate(str(rng.choice(["H", "S", "T", "X", "Z"])), 0))
         elif KINDS[kind].controlled:
-            gates.append(Gate(kind=kind, mode=mode, qubit=int(rng.integers(0, r)), t=float(rng.uniform(-strength, strength))))
+            gates.append(Gate(kind=kind, mode=0, qubit=0, t=float(rng.uniform(-STRENGTH, STRENGTH))))
         else:
-            gates.append(Gate(kind=kind, mode=mode, t=float(rng.uniform(-strength, strength))))
-    return Circuit(m, r, tuple(gates))
+            gates.append(Gate(kind=kind, mode=0, t=float(rng.uniform(-STRENGTH, STRENGTH))))
+    return Circuit(1, 1, tuple(gates))
 
 
 def _random_distribution(rng) -> DiscreteDistribution:
@@ -113,9 +119,7 @@ def _random_distribution(rng) -> DiscreteDistribution:
 def criterion_1() -> CriterionResult:
     """Comb-state orthogonality: d=4, Delta=1/32, Gram = identity to 1e-8."""
     t0 = time.time()
-    params = canonical_params(1.0 / 32.0, 4)
-    grid = default_comb_grid(CombStateSpec(params=params, j=0))
-    states = [comb_wavefunction(CombStateSpec(params=params, j=j), grid) for j in range(4)]
+    states = comb_family(1.0 / 32.0, 4)
     gram = np.array([[np.vdot(a.amps, b.amps) for b in states] for a in states])
     dev = float(np.abs(gram - np.eye(4)).max())
     rt = time.time() - t0
@@ -152,9 +156,10 @@ def criterion_3() -> CriterionResult:
     return CriterionResult(3, "preparation theorem", ok and rt < 300, rt, 300, {"trace_distances": tds})
 
 
-def criterion_4(shots: int = 10_000) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Logical measurement at ell=2: deterministic basis readout + chi^2 on a superposition."""
     t0 = time.time()
+    shots = 10_000
     layout = EncodingLayout(n=2, m=1)
     delta = 0.02
     deterministic = True
@@ -178,15 +183,15 @@ def criterion_4(shots: int = 10_000) -> CriterionResult:
     )
 
 
-def criterion_5(n_circuits: int = 200, seed: int = 20250810) -> CriterionResult:
-    """Analyzer soundness on random circuits: energy and window containment."""
+def criterion_5() -> CriterionResult:
+    """Analyzer soundness on 200 random circuits: energy and window containment."""
     t0 = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20250810)
     r0 = VACUUM_TAIL_RADIUS
     violations = 0
     worst_mass = 0.0
     worst_slack = math.inf
-    for _ in range(n_circuits):
+    for _ in range(200):
         c = random_circuit(rng)
         bound = energy_upper_bound(circuit_params(c)).bound
         grids = auto_grid(c, base_margin=0.3, mem_cap_mb=512)
@@ -229,11 +234,7 @@ def criterion_6() -> CriterionResult:
             gate = Gate(kind=kind, mode=0, t=theta, qubit=0 if KINDS[kind].controlled else None)
             c = Circuit(1, 1, (gate,))
             sub = substitute_bounded_strength(c)
-            for g in sub.gates:
-                if g.kind == "squeeze" and not (0.5 <= g.alpha <= 2.0):
-                    ok_strength = False
-                if g.kind in DISPLACEMENT_KINDS and abs(g.t) > 1.0:
-                    ok_strength = False
+            ok_strength &= conforms_to(sub, StrengthBounds(2.0, 1.0))
             # substitution lemma: xi_bar <= T^(alpha), g_bar <= zeta^2 2^(T - |Subs|)
             p = circuit_params(sub).per_mode[0]
             if p.xi_bar > 1.0 + 1e-12 or p.g_bar > theta ** 2 * (1.0 + 1e-12):
@@ -257,12 +258,12 @@ def criterion_6() -> CriterionResult:
     )
 
 
-def criterion_7(n_circuits: int = 500, seed: int = 99) -> CriterionResult:
-    """g_bar prefix-scan == O(T^2) brute force, log-space equality to 1e-12."""
+def criterion_7() -> CriterionResult:
+    """g_bar prefix-scan == O(T^2) brute force on 500 circuits, log-space equality to 1e-12."""
     t0 = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(99)
     worst = 0.0
-    for _ in range(n_circuits):
+    for _ in range(500):
         c = random_circuit(rng, max_gates=16)
         fast = circuit_params(c).per_mode[0].log2_g_bar
         slow = math.log2(g_bar_brute_force(c, 0))
@@ -279,7 +280,7 @@ def criterion_8() -> CriterionResult:
     for R in (1.0, 2.0, 5.0):
         kern = donoho_stark_kernel(R, 1024)
         trace = float(np.trace(kern.matrix))
-        eigs = donoho_stark_eigs(R, 1024)
+        eigs = donoho_stark_eigs(kern)
         exact = 4.0 * R * R / math.pi
         rel = abs(trace - exact) / exact
         details[R] = {"trace": trace, "rel_err": rel, "eig_min": float(eigs[0]), "eig_max": float(eigs[-1])}
@@ -288,20 +289,15 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(8, "Donoho-Stark kernel", ok, rt, None, details)
 
 
-def criterion_9(seed: int = 31) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Radius-dimension bound on the d=4 comb family + radius-energy inequality."""
     t0 = time.time()
     delta_tail = 0.01
-    params = canonical_params(1.0 / 32.0, 4)
-    grid = default_comb_grid(CombStateSpec(params=params, j=0))
-    radii = [
-        state_symradius(comb_wavefunction(CombStateSpec(params=params, j=j), grid), delta_tail)
-        for j in range(4)
-    ]
+    radii = [state_symradius(st, delta_tail) for st in comb_family(1.0 / 32.0, 4)]
     bound = math.sqrt(math.pi / 4.0) * (4.0 * (1.0 - 3.0 * math.sqrt(delta_tail))) ** 0.5
     family_ok = max(radii) >= bound
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(31)
     violations = 0
     for _ in range(100):
         c = random_circuit(rng, max_gates=8)
@@ -344,6 +340,7 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Budget/composite formulas in log space match mpmath to 1e-10 relative."""
+    # lazy: nothing else needs mpmath, and it is the slowest import here
     import mpmath as mp
 
     t0 = time.time()
@@ -370,8 +367,6 @@ def criterion_11() -> CriterionResult:
     # spec point value: (s=1, ell=1, Delta=1/4) -> log2 energy = 995
     ok &= abs(implementation_energy_bound(1, 1, 0.25).log2_energy - 995.0) < 1e-9
 
-    from .pipeline import error_budget
-
     for m, ell, delta, s in [(1, 2, 1e-3, 10), (3, 1, 1e-8, 0), (1, 2, 1e-8, 10)]:
         b = error_budget(m, ell, delta, s)
         mp_prep = 50 * m * (mp.sqrt(mp.mpf(delta)) + mp.mpf(2) ** (2 * ell) * mp.mpf(delta) ** 2)
@@ -384,12 +379,12 @@ def criterion_11() -> CriterionResult:
     return CriterionResult(11, "budget formulas vs mpmath", ok, rt, None, {})
 
 
-def criterion_12(n_distributions: int = 500, seed: int = 12) -> CriterionResult:
-    """diam^delta <= 2 sigma delta^{-1/2} and delta symradius^2 <= E[X^2]."""
+def criterion_12() -> CriterionResult:
+    """diam^delta <= 2 sigma delta^{-1/2} and delta symradius^2 <= E[X^2] on 500 distributions."""
     t0 = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(12)
     violations = 0
-    for _ in range(n_distributions):
+    for _ in range(500):
         dist = _random_distribution(rng)
         delta = float(rng.uniform(0.02, 0.5))
         d = diam_delta(dist, delta)

@@ -64,19 +64,8 @@ def distribution_from_arrays(values, probs) -> DiscreteDistribution:
     return DiscreteDistribution(values[order], probs[order])
 
 
-def position_marginal(state: HybridState, mode: int = 0) -> DiscreteDistribution:
-    return distribution_from_arrays(state.grids[mode].xs, state.position_density(mode))
-
-
-def momentum_marginal(state: HybridState, mode: int = 0) -> DiscreteDistribution:
-    ps = state.grids[mode].momenta
-    return distribution_from_arrays(ps, state.momentum_density(mode))
-
-
-def symradius_delta(dist, delta: float) -> float:
-    """Smallest R with P(|X| <= R) >= 1 - delta (states: max over Q/P, all modes)."""
-    if isinstance(dist, HybridState):
-        return state_symradius(dist, delta)
+def symradius_delta(dist: DiscreteDistribution, delta: float) -> float:
+    """Smallest R with P(|X| <= R) >= 1 - delta."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     absv = np.abs(dist.values)
@@ -87,27 +76,10 @@ def symradius_delta(dist, delta: float) -> float:
     return float(absv[order][k])
 
 
-def diam_delta(dist: DiscreteDistribution, delta: float) -> float:
-    """Width of a minimal interval with mass >= 1 - delta (two-pointer sweep)."""
+def minimal_interval(dist: DiscreteDistribution, delta: float) -> tuple[float, float]:
+    """One minimal-width interval with mass >= 1 - delta (two-pointer sweep)."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    v, p = dist.values, dist.probs
-    target = 1.0 - delta - 1e-15
-    best = v[-1] - v[0]
-    acc = 0.0
-    lo = 0
-    for hi in range(v.size):
-        acc += p[hi]
-        while acc - p[lo] >= target:
-            acc -= p[lo]
-            lo += 1
-        if acc >= target:
-            best = min(best, v[hi] - v[lo])
-    return float(best)
-
-
-def minimal_interval(dist: DiscreteDistribution, delta: float) -> tuple[float, float]:
-    """One minimal-width interval achieving mass >= 1 - delta."""
     v, p = dist.values, dist.probs
     target = 1.0 - delta - 1e-15
     best = (v[0], v[-1])
@@ -120,7 +92,13 @@ def minimal_interval(dist: DiscreteDistribution, delta: float) -> tuple[float, f
             lo += 1
         if acc >= target and v[hi] - v[lo] < best[1] - best[0]:
             best = (v[lo], v[hi])
-    return best
+    return float(best[0]), float(best[1])
+
+
+def diam_delta(dist: DiscreteDistribution, delta: float) -> float:
+    """Width of a minimal interval with mass >= 1 - delta."""
+    lo, hi = minimal_interval(dist, delta)
+    return hi - lo
 
 
 def conditioned_on_interval(dist: DiscreteDistribution, lo: float, hi: float) -> DiscreteDistribution:
@@ -128,70 +106,37 @@ def conditioned_on_interval(dist: DiscreteDistribution, lo: float, hi: float) ->
     return DiscreteDistribution(dist.values[mask], dist.probs[mask])
 
 
-@dataclass(frozen=True)
-class ConcentrationStats:
-    delta: float
-    diam: float
-    symradius: float
-    sigma: float
-    second_moment: float
-
-
-def concentration_stats(dist: DiscreteDistribution, delta: float) -> ConcentrationStats:
-    return ConcentrationStats(
-        delta=delta,
-        diam=diam_delta(dist, delta),
-        symradius=symradius_delta(dist, delta),
-        sigma=dist.sigma,
-        second_moment=dist.second_moment,
+def state_symradius(state: HybridState, delta: float) -> float:
+    """Symmetric delta-radius of a state: product projectors over all modes, max over Q/P."""
+    return max(
+        symradius_delta(_joint_max_abs(state, momentum=False), delta),
+        symradius_delta(_joint_max_abs(state, momentum=True), delta),
     )
 
 
-def state_symradius(state: HybridState, delta: float) -> float:
-    """Symmetric delta-radius of a state: product projectors over all modes."""
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    r_pos = _joint_abs_quantile(state, delta, momentum=False)
-    r_mom = _joint_abs_quantile(state, delta, momentum=True)
-    return max(r_pos, r_mom)
-
-
-def _joint_abs_quantile(state: HybridState, delta: float, momentum: bool) -> float:
+def _joint_max_abs(state: HybridState, momentum: bool) -> DiscreteDistribution:
+    """Distribution of ``max_alpha |coordinate_alpha|`` over the mode axes (qubits traced out)."""
+    amps = state.amps
     if momentum:
-        amps = state.amps
         for a in range(state.m):
             amps = np.fft.fft(amps, axis=a, norm="ortho")
-        dens = np.abs(amps) ** 2
-        coords = [state.grids[a].momenta for a in range(state.m)]
+        coords = [g.momenta for g in state.grids]
     else:
-        dens = np.abs(state.amps) ** 2
-        coords = [state.grids[a].xs for a in range(state.m)]
-    dens = dens.sum(axis=tuple(range(state.m, dens.ndim))) if dens.ndim > state.m else dens
-    # distribution of max_alpha |coordinate_alpha|
+        coords = [g.xs for g in state.grids]
+    dens = np.abs(amps) ** 2
+    dens = dens.sum(axis=tuple(range(state.m, dens.ndim)))
     maxabs = np.zeros(dens.shape)
     for a in range(state.m):
         shape = [1] * state.m
         shape[a] = len(coords[a])
         maxabs = np.maximum(maxabs, np.abs(coords[a]).reshape(shape))
-    flat = distribution_from_arrays(maxabs.ravel(), dens.ravel())
-    cum = np.cumsum(flat.probs)
-    k = int(np.searchsorted(cum, 1.0 - delta - 1e-15, side="left"))
-    return float(flat.values[min(k, flat.values.size - 1)])
+    return distribution_from_arrays(maxabs.ravel(), dens.ravel())
 
 
-def energy_lower_bound_from_radius(state_or_stats, delta: float, m: int | None = None):
+def energy_lower_bound_from_radius(state: HybridState, delta: float) -> tuple[float, float]:
     """(per-mode bound, total bound): delta * symradius^2 / m <= energy."""
-    if isinstance(state_or_stats, HybridState):
-        radius = state_symradius(state_or_stats, delta)
-        m = state_or_stats.m
-    elif isinstance(state_or_stats, ConcentrationStats):
-        radius = state_or_stats.symradius
-        m = 1 if m is None else m
-    else:
-        radius = symradius_delta(state_or_stats, delta)
-        m = 1 if m is None else m
-    total = delta * radius ** 2
-    return total / m, total
+    total = delta * state_symradius(state, delta) ** 2
+    return total / state.m, total
 
 
 def radius_dimension_bound(d: int, m: int, r: int, delta: float) -> float:
@@ -247,13 +192,12 @@ def donoho_stark_kernel(R: float, n_quad: int) -> DonohoStarkKernel:
     return DonohoStarkKernel(R=R, grid=xs, weights=w, matrix=A)
 
 
+def donoho_stark_eigs(kern: DonohoStarkKernel) -> np.ndarray:
+    """Ascending eigenvalues of a discretized kernel (in [0, 1] up to quadrature error)."""
+    return np.linalg.eigvalsh(kern.matrix)
+
+
 def donoho_stark_trace(R: float, n_quad: int) -> tuple[float, float]:
     """(quadrature trace, max eigenvalue); trace -> 4R^2/pi, eigenvalues in [0, 1]."""
     kern = donoho_stark_kernel(R, n_quad)
-    trace = float(np.trace(kern.matrix))
-    eigs = np.linalg.eigvalsh(kern.matrix)
-    return trace, float(eigs[-1])
-
-
-def donoho_stark_eigs(R: float, n_quad: int) -> np.ndarray:
-    return np.linalg.eigvalsh(donoho_stark_kernel(R, n_quad).matrix)
+    return float(np.trace(kern.matrix)), float(donoho_stark_eigs(kern)[-1])

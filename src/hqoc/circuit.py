@@ -367,21 +367,6 @@ def gate_params(g: Gate) -> GateParams:
     return GateParams(eta=1.0, xi=0.0)
 
 
-def restrict_to_mode(c: Circuit, alpha: int) -> Circuit:
-    """Subsequence of gates acting non-trivially on mode ``alpha``, relabeled to m=1."""
-    if not (0 <= alpha < c.m):
-        raise CircuitError(f"mode index {alpha} out of range for m={c.m}")
-    restricted = []
-    for g in c.gates:
-        if alpha not in target_modes(g):
-            continue
-        if g.kind == "blackbox":
-            restricted.append(replace(g, modes=(0,)))
-        else:
-            restricted.append(replace(g, mode=0))
-    return Circuit(m=1, r=c.r, gates=tuple(restricted))
-
-
 def adjoint_gate(g: Gate) -> Gate:
     """Gate-wise adjoint; blackbox declared parameters are adjoint-invariant."""
     fields = KINDS[g.kind].fields

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .bounds import donoho_stark_trace, radius_dimension_bound
-from .circuit import Circuit, CircuitError, parse_circuit, serialize_circuit
+from .circuit import Circuit, CircuitError, parse_circuit, qubit_gate, serialize_circuit
 from .moments import AnalysisError, analysis_report, substitute_bounded_strength
 from .pipeline import build_code_prep, build_prep_circuit, run_sampling_scheme
 from .simulator import (
@@ -54,12 +54,16 @@ def _emit(payload: dict, path: str | None) -> None:
     payload = {"toolkit_version": __version__, **payload}
     # a round trip turns the non-standard Infinity/NaN tokens into null
     payload = json.loads(json.dumps(payload), parse_constant=lambda _token: None)
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to standard output without one."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _read_circuit(path: str) -> Circuit:
@@ -80,13 +84,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_substitute(args) -> int:
     c = _read_circuit(args.circuit)
-    sub = substitute_bounded_strength(c)
-    text = serialize_circuit(sub)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(serialize_circuit(substitute_bounded_strength(c)) + "\n", args.out)
     return 0
 
 
@@ -120,21 +118,13 @@ def cmd_prep(args) -> int:
         c = build_prep_circuit(args.n, args.delta)
     else:
         raise CircuitError("prep requires --ell or --n")
-    text = serialize_circuit(c)
-    path = args.emit or args.out
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(serialize_circuit(c) + "\n", args.emit or args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
     gates = []
     if args.logical:
-        from .circuit import qubit_gate
-
         for item in args.logical.split(","):
             name, _, q = item.partition(":")
             if name.strip() != "X":
@@ -145,12 +135,7 @@ def cmd_sample(args) -> int:
         u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args)
     )
     lines = ["".join(map(str, bits.tolist())) for bits in run.samples]
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write("\n".join(lines) + "\n", args.out)
     if args.budget_out:
         _emit(
             {
@@ -212,6 +197,7 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # lazy: no other subcommand needs the battery
     from .acceptance import ALL_CRITERIA, FAST_CRITERIA, run_criteria
 
     if args.criteria:

@@ -26,17 +26,21 @@ import numpy as np
 from .moments import ceil_log2
 from .simulator import GridError, GridSpec, HybridState, centered_grid
 
+# Default resolution of a comb state: samples per peak sigma.
+SAMPLES_PER_SIGMA = 8
+# Padding of ``default_comb_grid`` past the outermost support, in peak sigmas.
+PAD_SIGMAS = 12.0
+
 
 @dataclass(frozen=True)
 class GkpParams:
-    """(Delta, d, eps, L) of one comb-state family; ``L = 2**n_peaks_exp``."""
+    """(Delta, d, eps, L) of one comb-state family."""
 
     delta: float
     d: int
     ell: int | None
     eps: float
     L: int
-    n_peaks_exp: int
 
     def __post_init__(self):
         if not (0 < self.delta < 0.25):
@@ -49,6 +53,11 @@ class GkpParams:
             raise ValueError("L must be a positive even integer")
 
 
+def peak_count_exponent(delta: float, ell: int) -> int:
+    """log2 of the peak count L: ``2 (ceil(log2 1/Delta) - ell)``."""
+    return 2 * (ceil_log2(1.0 / delta) - ell)
+
+
 def canonical_params(delta: float, d: int) -> GkpParams:
     """Canonical choice eps = 1/(2d), L = 2^{2(ceil(log2 1/Delta) - floor(log2 d))}."""
     if not (0 < delta < 0.25):
@@ -56,27 +65,21 @@ def canonical_params(delta: float, d: int) -> GkpParams:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError("d must be an integer >= 2")
     floor_log2_d = int(d).bit_length() - 1
-    n_exp = 2 * (ceil_log2(1.0 / delta) - floor_log2_d)
+    n_exp = peak_count_exponent(delta, floor_log2_d)
     if n_exp < 1:
         raise ValueError("delta too large for this code dimension (L < 2)")
     ell = floor_log2_d if d == 2 ** floor_log2_d else None
-    return GkpParams(
-        delta=float(delta), d=int(d), ell=ell, eps=1.0 / (2 * d),
-        L=2 ** n_exp, n_peaks_exp=n_exp,
-    )
+    return GkpParams(delta=float(delta), d=int(d), ell=ell, eps=1.0 / (2 * d), L=2 ** n_exp)
 
 
 def aux_params(delta: float, ell: int) -> GkpParams:
     """Auxiliary qubit code: d = 2 with eps = 2^-(ell+1) and L = L_{Delta, 2^ell}."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    n_exp = 2 * (ceil_log2(1.0 / delta) - ell)
+    n_exp = peak_count_exponent(delta, ell)
     if n_exp < 1:
         raise ValueError("delta too large for this ell (L < 2)")
-    return GkpParams(
-        delta=float(delta), d=2, ell=1, eps=2.0 ** -(ell + 1),
-        L=2 ** n_exp, n_peaks_exp=n_exp,
-    )
+    return GkpParams(delta=float(delta), d=2, ell=1, eps=2.0 ** -(ell + 1), L=2 ** n_exp)
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,19 @@ def comb_spec(delta: float, d: int, j: int) -> CombStateSpec:
     return CombStateSpec(params=canonical_params(delta, d), j=j)
 
 
+def comb_family(delta: float, d: int) -> list[HybridState]:
+    """The d code states j = 0 .. d-1 of the canonical family, on one default grid."""
+    grid = default_comb_grid(comb_spec(delta, d, 0))
+    return [comb_wavefunction(comb_spec(delta, d, j), grid) for j in range(d)]
+
+
 def support_set(spec: CombStateSpec) -> list[tuple[float, float]]:
     """The L closed support intervals (pairwise disjoint across distinct j)."""
     h = spec.half_support
     return [(c - h, c + h) for c in spec.peak_centers]
 
 
-def _check_grid(spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = 8.0) -> None:
+def _check_grid(spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float) -> None:
     if grid.dx > spec.peak_sigma / samples_per_sigma * (1 + 1e-9):
         raise GridError(
             f"grid too coarse: dx={grid.dx:.4g} > peak_sigma/{samples_per_sigma:g}"
@@ -135,7 +144,7 @@ def _check_grid(spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = 
 
 
 def comb_wavefunction(
-    spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = 8.0
+    spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = SAMPLES_PER_SIGMA
 ) -> HybridState:
     """Sampled, renormalized closed-form comb state on one mode.
 
@@ -148,8 +157,13 @@ def comb_wavefunction(
     edges are negligible (``delta << eps``).
     """
     _check_grid(spec, grid, samples_per_sigma)
-    delta, eps, L = spec.params.delta, spec.params.eps, spec.params.L
-    u = (grid.xs - spec.shift) / spec.scale
+    p = spec.params
+    amps = _truncated_peaks((grid.xs - spec.shift) / spec.scale, p.delta, p.eps, p.L)
+    return HybridState(1, 0, (grid,), amps)
+
+
+def _truncated_peaks(u: np.ndarray, delta: float, eps: float, L: int) -> np.ndarray:
+    """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1."""
     z = np.rint(u)
     w = u - z
     inside = (np.abs(w) < eps) & (z >= -L // 2) & (z <= L // 2 - 1)
@@ -158,7 +172,7 @@ def comb_wavefunction(
         raise GridError("comb support does not intersect the grid")
     amps = psi.astype(complex)
     amps /= np.linalg.norm(amps)
-    return HybridState(1, 0, (grid,), amps)
+    return amps
 
 
 def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> HybridState:
@@ -183,19 +197,18 @@ def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> Hybri
     return HybridState(1, 0, (grid,), amps)
 
 
-def default_comb_grid(
-    spec: CombStateSpec, samples_per_sigma: int = 8, pad_sigmas: float = 12.0
-) -> GridSpec:
+def default_comb_grid(spec: CombStateSpec) -> GridSpec:
     """Dyadic grid with peak centers exactly on cell centers.
 
     ``dx = sqrt(2 pi / d) / 2^k`` with k minimal such that the peak Gaussian
-    is sampled at least ``samples_per_sigma`` times per sigma.
+    is sampled at least ``SAMPLES_PER_SIGMA`` times per sigma; the extent
+    reaches ``PAD_SIGMAS`` peak sigmas past the outermost support.
     """
     fine = math.sqrt(2 * math.pi / spec.params.d)
-    k = max(0, ceil_log2(samples_per_sigma * fine / spec.peak_sigma))
+    k = max(0, ceil_log2(SAMPLES_PER_SIGMA * fine / spec.peak_sigma))
     dx = fine / 2 ** k
     top = spec.scale * (spec.params.L // 2) + spec.scale  # covers shifts for all j < d
-    reach = top + spec.half_support + pad_sigmas * spec.peak_sigma
+    reach = top + spec.half_support + PAD_SIGMAS * spec.peak_sigma
     n = 1 << max(8, math.ceil(math.log2(2.0 * reach / dx)))
     return centered_grid(n, dx)
 
@@ -211,12 +224,7 @@ def overlap_check(delta: float, eps: float, L: int) -> tuple[float, float]:
     n = 1 << math.ceil(math.log2(2 * reach / dx))
     grid = centered_grid(n, dx)
     full = untruncated_comb_wavefunction(L, delta, grid)
-    u = grid.xs
-    z = np.rint(u)
-    w = u - z
-    inside = (np.abs(w) < eps) & (z >= -L // 2) & (z <= L // 2 - 1)
-    trunc = np.where(inside, np.exp(-w ** 2 / (2 * delta ** 2)), 0.0).astype(complex)
-    trunc /= np.linalg.norm(trunc)
+    trunc = _truncated_peaks(grid.xs, delta, eps, L)
     overlap_sq = abs(np.vdot(full.amps, trunc)) ** 2
     bound = 1.0 - 16.0 * delta ** 2 - 2.0 * math.exp(-((eps / delta) ** 2))
     return float(overlap_sq), float(bound)

@@ -45,6 +45,11 @@ def ceil_log2(x: float) -> int:
     return math.ceil(v - 1e-12 * max(1.0, abs(v)))
 
 
+def exp2_or_inf(x: float) -> float:
+    """2^x, or inf where it overflows a double."""
+    return 2.0 ** x if x < 1024 else math.inf
+
+
 def g_of(x: float) -> float:
     """g(x) = max(x, 1/x) for x > 0."""
     return max(x, 1.0 / x)
@@ -108,15 +113,17 @@ def generator_mlf(g: Gate) -> MomentWindowMap:
     raise AnalysisError(f"no window map for gate kind {g.kind!r}")
 
 
-def dominates(phi: MomentWindowMap, chi: MomentWindowMap, probes=None) -> bool:
-    """True if the chi-window contains the phi-window for all probe inputs."""
-    if probes is None:
-        probes = [
-            (-5.0, 5.0, -5.0, 5.0),
-            (-1.0, 2.0, -3.0, 0.5),
-            (0.0, 10.0, -10.0, 0.0),
-        ]
-    for w in probes:
+# Probe windows of ``dominates``.
+PROBE_WINDOWS = (
+    (-5.0, 5.0, -5.0, 5.0),
+    (-1.0, 2.0, -3.0, 0.5),
+    (0.0, 10.0, -10.0, 0.0),
+)
+
+
+def dominates(phi: MomentWindowMap, chi: MomentWindowMap) -> bool:
+    """True if the chi-window contains the phi-window for every probe window."""
+    for w in PROBE_WINDOWS:
         pw, cw = phi(w), chi(w)
         if not (
             cw[0] <= pw[0] + 1e-12
@@ -195,10 +202,10 @@ def _scan_mode(items) -> ModeMomentParams:
         v_fwd = eta_g * v_fwd + xi
         v_bwd = v_bwd / eta_g + xi
     return ModeMomentParams(
-        g_bar=2.0 ** best if best < 1024 else math.inf,
+        g_bar=exp2_or_inf(best),
         log2_g_bar=best,
         xi_bar=xi_bar,
-        eta=2.0 ** s,
+        eta=exp2_or_inf(s),
         xi=None if has_blackbox else v_fwd,
         xi_hat=None if has_blackbox else v_bwd,
     )
@@ -206,7 +213,11 @@ def _scan_mode(items) -> ModeMomentParams:
 
 def circuit_params(c: Circuit) -> CircuitMomentParams:
     """Per-mode (g_bar, xi_bar, eta, xi, xi_hat) and the circuit-level maxima."""
-    per_mode = tuple(_scan_mode(_mode_items(c, a)) for a in range(c.m))
+    return _with_maxima(tuple(_scan_mode(_mode_items(c, a)) for a in range(c.m)))
+
+
+def _with_maxima(per_mode: tuple[ModeMomentParams, ...]) -> CircuitMomentParams:
+    """Circuit-level parameters: the per-mode maxima of ``g_bar`` and ``xi_bar``."""
     if per_mode:
         log2_max = max(p.log2_g_bar for p in per_mode)
         xi_max = max(p.xi_bar for p in per_mode)
@@ -214,7 +225,7 @@ def circuit_params(c: Circuit) -> CircuitMomentParams:
         log2_max, xi_max = 0.0, 0.0
     return CircuitMomentParams(
         per_mode=per_mode,
-        g_bar_max=2.0 ** log2_max if log2_max < 1024 else math.inf,
+        g_bar_max=exp2_or_inf(log2_max),
         log2_g_bar_max=log2_max,
         xi_bar_max=xi_max,
     )
@@ -351,16 +362,6 @@ def _require_elementary(c: Circuit) -> None:
             )
 
 
-def circuit_mlf(c: Circuit) -> list[MomentWindowMap]:
-    """Per-mode composed window map of the whole (blackbox-free) circuit."""
-    _require_elementary(c)
-    maps = [IDENTITY_MAP] * c.m
-    for g in c.gates:
-        for a in target_modes(g):
-            maps[a] = compose_mlf(generator_mlf(g), maps[a])
-    return maps
-
-
 def circuit_window_trajectory(
     c: Circuit, init: Window | list[Window]
 ) -> list[list[Window]]:
@@ -458,7 +459,7 @@ def dressed_params(subcircuits) -> CircuitMomentParams:
             log2_g = max(log2_g, 2.0 * p.log2_g_bar)
         per_mode.append(
             ModeMomentParams(
-                g_bar=2.0 ** log2_g if log2_g < 1024 else math.inf,
+                g_bar=exp2_or_inf(log2_g),
                 log2_g_bar=log2_g,
                 xi_bar=xi_bar,
                 eta=1.0,  # net squeezing cancels in U^dag V U
@@ -466,14 +467,4 @@ def dressed_params(subcircuits) -> CircuitMomentParams:
                 xi_hat=None,
             )
         )
-    if per_mode:
-        log2_max = max(p.log2_g_bar for p in per_mode)
-        xi_max = max(p.xi_bar for p in per_mode)
-    else:
-        log2_max, xi_max = 0.0, 0.0
-    return CircuitMomentParams(
-        per_mode=tuple(per_mode),
-        g_bar_max=2.0 ** log2_max if log2_max < 1024 else math.inf,
-        log2_g_bar_max=log2_max,
-        xi_bar_max=xi_max,
-    )
+    return _with_maxima(tuple(per_mode))

@@ -40,9 +40,10 @@ from .circuit import (
 from .gkp import (
     CombStateSpec,
     aux_params,
-    canonical_params,
+    comb_spec,
     comb_wavefunction,
     default_comb_grid,
+    peak_count_exponent,
     untruncated_comb_wavefunction,
 )
 from .moments import analysis_report, ceil_log2
@@ -56,6 +57,9 @@ from .simulator import (
     trace_distance,
     vacuum_state,
 )
+
+# Grid margin (``auto_grid`` ``base_margin``) of the preparation simulations.
+SIM_MARGIN = 0.3
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,7 @@ def prep_size_formula(n: int, delta: float) -> int:
 def _code_prep(ell: int, delta: float, d: int) -> Circuit:
     if not (0 < delta < 0.25) or delta > 2.0 ** -(ell + 1):
         raise ValueError("code preparation requires delta <= 2^-(ell+1) and delta < 1/4")
-    n = 2 * (ceil_log2(1.0 / delta) - ell)
-    base = build_prep_circuit(n, delta)
+    base = build_prep_circuit(peak_count_exponent(delta, ell), delta)
     z_d, reps = z_fraction(math.sqrt(2.0 * math.pi * d))
     gates = base.gates + tuple(squeeze(0, 2.0 ** z_d) for _ in range(reps))
     return Circuit(m=1, r=1, gates=gates)
@@ -276,13 +279,12 @@ def build_pipeline_circuits(
 ) -> PipelineCircuits:
     layout = EncodingLayout(n=n, m=m)
     ell = layout.ell
-    n_comb = 2 * (ceil_log2(1.0 / delta) - ell)
     w_prep = build_wprep(m, ell, delta)
     w_u = build_wu(u_logical, m, ell)
     w_prep3 = Circuit(m=m + 1, r=3, gates=w_prep.gates)
     w_tot = Circuit(m=m + 1, r=3, gates=w_prep3.gates + w_u.gates)
     return PipelineCircuits(
-        u_prep=build_prep_circuit(n_comb, delta),
+        u_prep=build_prep_circuit(peak_count_exponent(delta, ell), delta),
         u_code_prep=build_code_prep(ell, delta),
         v_aux_prep=build_aux_prep(ell, delta),
         w_prep=w_prep,
@@ -320,11 +322,16 @@ class ErrorBudget:
         }
 
 
+def _eps_prep(m: int, ell: int, delta: float) -> float:
+    """Preparation error bound 50 m (sqrt(Delta) + 2^{2 ell} Delta^2)."""
+    return 50.0 * m * (math.sqrt(delta) + 2.0 ** (2 * ell) * delta ** 2)
+
+
 def error_budget(m: int, ell: int, delta: float, s: int) -> ErrorBudget:
     """eps_prep = 50 m (sqrt(Delta) + 2^{2 ell} Delta^2), eps_gate = 600 s 2^{2 ell} Delta."""
     if m < 1 or ell < 1 or s < 0 or not (0 < delta < 1):
         raise ValueError("invalid budget parameters")
-    eps_prep = 50.0 * m * (math.sqrt(delta) + 2.0 ** (2 * ell) * delta ** 2)
+    eps_prep = _eps_prep(m, ell, delta)
     eps_gate = 600.0 * s * 2.0 ** (2 * ell) * delta
     eps_final = eps_prep + eps_gate
     t_prep = build_wprep(m, ell, delta).size if delta <= 2.0 ** -(ell + 1) else 0
@@ -346,12 +353,11 @@ def error_budget(m: int, ell: int, delta: float, s: int) -> ErrorBudget:
 
 def encoding_grid(layout: EncodingLayout, delta: float) -> GridSpec:
     """Shared dyadic grid for all encoded states of the layout (see default_comb_grid)."""
-    spec = CombStateSpec(params=canonical_params(delta, layout.d), j=0)
-    return default_comb_grid(spec)
+    return default_comb_grid(comb_spec(delta, layout.d, 0))
 
 
 def encode_basis_state(
-    bits, layout: EncodingLayout, delta: float, grids=None, mem_cap_mb: float = 1024.0
+    bits, layout: EncodingLayout, delta: float, mem_cap_mb: float = 1024.0
 ) -> HybridState:
     """Analytic encoding of a computational basis state into m comb modes.
 
@@ -361,33 +367,26 @@ def encode_basis_state(
     bits = tuple(int(b) for b in bits)
     if len(bits) != layout.n:
         raise ValueError(f"expected {layout.n} logical bits")
-    params = canonical_params(delta, layout.d)
-    if grids is None:
-        grids = [encoding_grid(layout, delta)] * layout.m
+    grids = [encoding_grid(layout, delta)] * layout.m
     check_mem_cap(grids, 0, mem_cap_mb)
     indices = layout.indices_for_bits(bits)
     amps = np.ones((), dtype=complex)
     for alpha, j in enumerate(indices):
-        mode = comb_wavefunction(CombStateSpec(params=params, j=j), grids[alpha])
+        mode = comb_wavefunction(comb_spec(delta, layout.d, j), grids[alpha])
         amps = np.multiply.outer(amps, mode.amps)
     return HybridState(layout.m, 0, tuple(grids), amps)
 
 
-def encode_state(
-    amplitudes: dict, layout: EncodingLayout, delta: float, grids=None
-) -> HybridState:
+def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> HybridState:
     """Analytic encoding of a superposition {bits: amplitude} (m <= 2)."""
     if layout.m > 2:
         raise ValueError("full encoded superpositions are capped at m <= 2")
-    if grids is None:
-        grids = [encoding_grid(layout, delta)] * layout.m
     total = None
     for bits, coeff in amplitudes.items():
-        basis = encode_basis_state(bits, layout, delta, grids)
+        basis = encode_basis_state(bits, layout, delta)
         term = coeff * basis.amps
         total = term if total is None else total + term
-    state = HybridState(layout.m, 0, tuple(grids), total)
-    return state.normalize()
+    return HybridState(layout.m, 0, basis.grids, total).normalize()
 
 
 @dataclass(frozen=True)
@@ -431,8 +430,7 @@ def run_sampling_scheme(
         shift_gates.append(disp_p(alpha, logical_x_shift(layout, q)))
     if shift_gates:
         state = apply_circuit(state, Circuit(m=m, r=0, gates=tuple(shift_gates)))
-    ys, _zs = homodyne_sample(state, shots, seed)
-    samples = np.array([post_process(y, layout) for y in ys], dtype=np.int64)
+    samples = sample_encoded_state(state, layout, shots, seed)
     u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
     w_tot = build_pipeline_circuits(u_ext, n, m, delta).w_tot
     budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
@@ -452,20 +450,17 @@ def sample_encoded_state(
     return np.array([post_process(y, layout) for y in ys], dtype=np.int64)
 
 
-def simulate_prep(n: int, delta: float, margin: float = 0.3, mem_cap_mb: float = 2048.0):
+def simulate_prep(n: int, delta: float):
     """Simulate the comb preparation from vacuum; returns (state, circuit)."""
     c = build_prep_circuit(n, delta)
-    grids = auto_grid(c, base_margin=margin, mem_cap_mb=mem_cap_mb)
+    grids = auto_grid(c, base_margin=SIM_MARGIN, mem_cap_mb=2048.0)
     state = vacuum_state(1, 1, grids)
     return apply_circuit(state, c), c
 
 
 def prep_target_state(n: int, delta: float, grid: GridSpec) -> HybridState:
     """Analytic target |Sha_{2^n, Delta}> (x) |0> on the given grid."""
-    comb = untruncated_comb_wavefunction(2 ** n, delta, grid)
-    amps = np.zeros(comb.amps.shape + (2,), dtype=complex)
-    amps[:, 0] = comb.amps
-    return HybridState(1, 1, (grid,), amps)
+    return _with_qubit_zero(untruncated_comb_wavefunction(2 ** n, delta, grid))
 
 
 def _with_qubit_zero(mode_state: HybridState) -> HybridState:
@@ -476,7 +471,7 @@ def _with_qubit_zero(mode_state: HybridState) -> HybridState:
 
 def code_prep_target(ell: int, delta: float, grid: GridSpec) -> HybridState:
     """Analytic |Sha*_Delta(0)_{2^ell}> (x) |0> on the given grid."""
-    spec = CombStateSpec(params=canonical_params(delta, 2 ** ell), j=0)
+    spec = comb_spec(delta, 2 ** ell, 0)
     return _with_qubit_zero(comb_wavefunction(spec, grid, samples_per_sigma=1.0))
 
 
@@ -486,7 +481,7 @@ def aux_prep_target(ell: int, delta: float, grid: GridSpec) -> HybridState:
     return _with_qubit_zero(comb_wavefunction(spec, grid, samples_per_sigma=1.0))
 
 
-def simulate_wprep_factorized(m: int, ell: int, delta: float, margin: float = 0.3) -> dict:
+def simulate_wprep_factorized(m: int, ell: int, delta: float) -> dict:
     """Verify the initial-state preparation block by block.
 
     The preparation circuit acts on each mode-qubit pair in sequence and
@@ -501,7 +496,7 @@ def simulate_wprep_factorized(m: int, ell: int, delta: float, margin: float = 0.
     qubit_dev = 0.0
     total = 0.0
     for label, circ, target_fn in blocks:
-        grids = auto_grid(circ, base_margin=margin)
+        grids = auto_grid(circ, base_margin=SIM_MARGIN)
         state = apply_circuit(vacuum_state(1, 1, grids), circ)
         target = target_fn(ell, delta, state.grids[0])
         td = trace_distance(state, target)
@@ -509,7 +504,7 @@ def simulate_wprep_factorized(m: int, ell: int, delta: float, margin: float = 0.
         per_block.append({"block": label, "trace_distance": td, "qubit_deviation": dev})
         qubit_dev += dev
         total += td
-    bound = 50.0 * m * (math.sqrt(delta) + 2.0 ** (2 * ell) * delta ** 2)
+    bound = _eps_prep(m, ell, delta)
     return {
         "per_block": per_block,
         "total_error": total,

@@ -43,6 +43,10 @@ from .moments import AnalysisError, Window, circuit_window_trajectory
 VACUUM_TAIL_RADIUS = 5.1
 
 BOUNDARY_MASS_TOL = 1e-8
+# Cells at each grid edge that the overflow guard reads.
+EDGE_CELLS = 2
+# Fewest points ``auto_grid`` gives a mode.
+MIN_GRID_POINTS = 256
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
 # ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state,
@@ -143,11 +147,6 @@ class HybridState:
         axes = tuple(ax for ax in range(dens.ndim) if ax != mode)
         return dens.sum(axis=axes)
 
-    def joint_position_density(self) -> np.ndarray:
-        """Joint cell probabilities over all mode axes (qubits traced out)."""
-        dens = np.abs(self.amps) ** 2
-        return dens.sum(axis=tuple(range(self.m, dens.ndim)))
-
     def momentum_amps(self, mode: int) -> np.ndarray:
         """Amplitudes in the momentum basis of one mode (FFT ordering)."""
         return np.fft.fft(self.amps, axis=mode, norm="ortho")
@@ -158,15 +157,15 @@ class HybridState:
         axes = tuple(ax for ax in range(dens.ndim) if ax != mode)
         return dens.sum(axis=axes)
 
-    def boundary_mass(self, cells: int = 2) -> float:
-        """Largest per-mode probability mass within ``cells`` of a grid edge.
+    def boundary_mass(self) -> float:
+        """Largest per-mode probability mass within ``EDGE_CELLS`` of a grid edge.
 
         Reads only the edge slices of each mode axis, not the whole array.
         """
         worst = 0.0
         for a in range(self.m):
             amps = np.moveaxis(self.amps, a, 0)
-            edges = np.concatenate((amps[:cells], amps[-cells:]))
+            edges = np.concatenate((amps[:EDGE_CELLS], amps[-EDGE_CELLS:]))
             worst = max(worst, float(np.vdot(edges, edges).real))
         return worst
 
@@ -316,19 +315,6 @@ def energy_expectation(state: HybridState) -> tuple[list[float], float]:
     return energies, max(energies) if energies else 0.0
 
 
-def mode_moments(state: HybridState, mode: int = 0) -> dict:
-    xs = state.grids[mode].xs
-    dens = state.position_density(mode)
-    ps = state.grids[mode].momenta
-    dens_p = state.momentum_density(mode)
-    return {
-        "mean_q": float(np.dot(dens, xs)),
-        "mean_q2": float(np.dot(dens, xs ** 2)),
-        "mean_p": float(np.dot(dens_p, ps)),
-        "mean_p2": float(np.dot(dens_p, ps ** 2)),
-    }
-
-
 def inner_product(a: HybridState, b: HybridState) -> complex:
     """Quadrature inner product <a, b>; requires matching grids."""
     _check_same_grids(a, b)
@@ -367,8 +353,8 @@ def homodyne_sample(
     """Sample (y, z) jointly: mode cells and qubit bits from ``|amps|^2``.
 
     Returns ``(ys, zs)`` with shapes ``(shots, m)`` and ``(shots, r)``;
-    positions are reported at cell centers.  The stream is a deterministic
-    function of the seed.
+    positions are reported at cell centers, computed for the sampled cells
+    only.  The stream is a deterministic function of the seed.
     """
     rng = np.random.default_rng(seed)
     cdf = np.abs(state.amps.ravel())
@@ -379,7 +365,7 @@ def homodyne_sample(
     cells = np.unravel_index(np.minimum(flat, cdf.size - 1), state.amps.shape)
     ys = np.empty((shots, state.m))
     for a, grid in enumerate(state.grids):
-        ys[:, a] = grid.xs[cells[a]]
+        ys[:, a] = grid.x0 + grid.dx * cells[a]
     zs = np.empty((shots, state.r), dtype=np.int64)
     for q in range(state.r):
         zs[:, q] = cells[state.m + q]
@@ -389,12 +375,7 @@ def homodyne_sample(
 # -- automatic grid sizing --------------------------------------------------------
 
 
-def auto_grid(
-    c: Circuit,
-    base_margin: float = 0.25,
-    mem_cap_mb: float = 1024.0,
-    min_points: int = 256,
-) -> list[GridSpec]:
+def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0) -> list[GridSpec]:
     """Size per-mode grids from the analyzer's window trajectory.
 
     Starting from the vacuum's effective window (radius covering all but
@@ -426,7 +407,7 @@ def auto_grid(
             2.0 * max(abs(w[a][0]), abs(w[a][1])) * (1.0 + base_margin) / (dx0 * s)
             for w, s in zip(traj, scales)
         )
-        n = max(min_points, _next_pow2(n_req))
+        n = max(MIN_GRID_POINTS, _next_pow2(n_req))
         # shrink dx to land the extent exactly on the target (margins intact)
         specs.append(centered_grid(n, dx0 * n_req / n))
 

@@ -16,23 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import exp2_or_inf
+
 LOG2_C = 46.0
 SIZE_EXPONENT = 2.0
 MODE_EXPONENT = 24.0
 ENERGY_EXPONENT = 1.0 / 42.0
 
 
-def _to_linear(log2_value: float) -> float:
-    return 2.0 ** log2_value if log2_value < 1024 else math.inf
+def _log2_prefactor(n: int, m: int, s: int) -> float:
+    """log2 of 2^46 (s+m)^2 2^{24 n/m}."""
+    return LOG2_C + SIZE_EXPONENT * math.log2(s + m) + MODE_EXPONENT * n / m
 
 
 def log2_sampling_error_bound(n: int, m: int, s: int, log2_energy: float) -> float:
-    return (
-        LOG2_C
-        + SIZE_EXPONENT * math.log2(s + m)
-        + MODE_EXPONENT * n / m
-        - ENERGY_EXPONENT * log2_energy
-    )
+    return _log2_prefactor(n, m, s) - ENERGY_EXPONENT * log2_energy
 
 
 def sampling_error_bound(
@@ -43,24 +41,19 @@ def sampling_error_bound(
         if energy is None or energy <= 0:
             raise ValueError("provide energy > 0 or log2_energy")
         log2_energy = math.log2(energy)
-    return min(2.0, _to_linear(log2_sampling_error_bound(n, m, s, log2_energy)))
+    return min(2.0, exp2_or_inf(log2_sampling_error_bound(n, m, s, log2_energy)))
 
 
 def log2_required_energy(n: int, m: int, s: int, epsilon: float) -> float:
     if not (0 < epsilon <= 2):
         raise ValueError("epsilon must lie in (0, 2]")
-    return 42.0 * (
-        LOG2_C
-        + SIZE_EXPONENT * math.log2(s + m)
-        + MODE_EXPONENT * n / m
-        - math.log2(epsilon)
-    )
+    return 42.0 * (_log2_prefactor(n, m, s) - math.log2(epsilon))
 
 
 def required_energy(n: int, m: int, s: int, epsilon: float) -> tuple[float, float]:
     """(log2 energy, linear energy or inf) achieving L1 error epsilon."""
     log2_e = log2_required_energy(n, m, s, epsilon)
-    return log2_e, _to_linear(log2_e)
+    return log2_e, exp2_or_inf(log2_e)
 
 
 # Constants of the corollary form energy = C (2^{n/m})^delta (s, eps powers),
@@ -88,6 +81,11 @@ class ImplementationEnergy:
     log2_g_wu: float
 
 
+def _log2_impl_prefactor(s: int, ell: int) -> float:
+    """log2 of s^3 2^{891 ell + 62}."""
+    return 3.0 * math.log2(s) + 891.0 * ell + 62.0
+
+
 def implementation_energy_bound(s: int, ell: int, delta: float) -> ImplementationEnergy:
     """energy(W_tot) <= s^3 2^{891 ell + 62} / Delta^21, with the composite parameters."""
     if s < 1 or ell < 1:
@@ -95,10 +93,10 @@ def implementation_energy_bound(s: int, ell: int, delta: float) -> Implementatio
     if not (0 < delta < 2.0 ** -(ell + 1)) and delta != 2.0 ** -(ell + 1):
         raise ValueError("hypothesis requires delta <= 2^-(ell+1)")
     log2_inv_delta = -math.log2(delta)
-    log2_energy = 3.0 * math.log2(s) + 891.0 * ell + 62.0 + 21.0 * log2_inv_delta
+    log2_energy = _log2_impl_prefactor(s, ell) + 21.0 * log2_inv_delta
     return ImplementationEnergy(
         log2_energy=log2_energy,
-        energy=_to_linear(log2_energy),
+        energy=exp2_or_inf(log2_energy),
         xi_bar_wtot=72.0 * s * 2.0 ** ell + 10.0 * log2_inv_delta,
         log2_g_bar_wtot=10.0 + 148.0 * ell + 3.0 * log2_inv_delta,
         log2_xi_wu=math.log2(72.0 * s) + ell,
@@ -110,7 +108,7 @@ def log2_delta_max(s: int, ell: int, log2_energy: float) -> float:
     """log2 of min{2^-(ell+1), s^{3/21} 2^{(891 ell + 62)/21} energy^{-1/21}}."""
     return min(
         -(ell + 1.0),
-        (3.0 * math.log2(s) + 891.0 * ell + 62.0 - log2_energy) / 21.0,
+        (_log2_impl_prefactor(s, ell) - log2_energy) / 21.0,
     )
 
 
@@ -160,21 +158,23 @@ def classify_growth(beta: float) -> str:
     return "subexponential"
 
 
-def regime_table(n_values, s_fn, eps_fn, m_fns=None) -> list[RegimeRow]:
+# Mode-count regimes of ``regime_table``: label -> m(n).
+MODE_REGIMES = {
+    "m=1": lambda n: 1,
+    "m=ceil(sqrt(n))": lambda n: math.ceil(math.sqrt(n)),
+    "m=n": lambda n: n,
+}
+
+
+def regime_table(n_values, s_fn, eps_fn) -> list[RegimeRow]:
     """Required-energy growth for mode counts m in {1, ceil(sqrt n), n}.
 
     Growth classes are for the ENERGY as a function of n: a log2-energy
     fitted power ~1 means exponential energy, ~1/2 subexponential, and a
     sublinear/logarithmic log2-energy means polynomial energy.
     """
-    if m_fns is None:
-        m_fns = {
-            "m=1": lambda n: 1,
-            "m=ceil(sqrt(n))": lambda n: math.ceil(math.sqrt(n)),
-            "m=n": lambda n: n,
-        }
     rows = []
-    for label, m_fn in m_fns.items():
+    for label, m_fn in MODE_REGIMES.items():
         log2s = tuple(
             log2_required_energy(n, m_fn(n), s_fn(n), eps_fn(n)) for n in n_values
         )

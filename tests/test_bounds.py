@@ -6,7 +6,6 @@ from scipy.special import erfinv
 
 from hqoc.bounds import (
     DiscreteDistribution,
-    concentration_stats,
     conditioned_on_interval,
     corollary_scalings,
     diam_delta,
@@ -16,13 +15,11 @@ from hqoc.bounds import (
     donoho_stark_trace,
     energy_lower_bound_from_radius,
     minimal_interval,
-    momentum_marginal,
-    position_marginal,
     radius_dimension_bound,
     state_symradius,
     symradius_delta,
 )
-from hqoc.gkp import CombStateSpec, canonical_params, comb_wavefunction, default_comb_grid
+from hqoc.gkp import comb_family, comb_spec, comb_wavefunction, default_comb_grid
 from hqoc.simulator import centered_grid, energy_expectation, vacuum_state
 
 
@@ -44,7 +41,7 @@ def test_symradius_uniform():
 def test_symradius_vacuum_state():
     grid = centered_grid(4096, 24.0 / 4096)
     v = vacuum_state(1, 0, [grid])
-    r = symradius_delta(position_marginal(v), 0.05)
+    r = symradius_delta(distribution_from_arrays(grid.xs, v.position_density(0)), 0.05)
     assert r == pytest.approx(float(erfinv(0.95)), abs=0.01)
     # the state-level radius agrees (position and momentum marginals coincide)
     assert state_symradius(v, 0.05) == pytest.approx(r, abs=0.01)
@@ -74,23 +71,10 @@ def test_diam_at_most_twice_symradius():
         assert diam_delta(d, delta) <= 2 * symradius_delta(d, delta) + 1e-12
 
 
-def test_concentration_lemmas_random():
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        k = int(rng.integers(2, 60))
-        d = distribution_from_arrays(
-            rng.normal(scale=rng.uniform(0.1, 5.0), size=k) + rng.uniform(-3, 3),
-            rng.dirichlet(np.ones(k)),
-        )
-        delta = float(rng.uniform(0.02, 0.5))
-        stats = concentration_stats(d, delta)
-        assert stats.diam <= 2 * stats.sigma / math.sqrt(delta) + 1e-12
-        assert delta * stats.symradius ** 2 <= stats.second_moment + 1e-12
-
-
 def test_popoviciu_conditioned_form():
-    # on the minimal 1-delta interval, 2 sigma of the conditioned variable
-    # is at most its width
+    # Popoviciu's inequality, the step of the diam^delta <= 2 sigma delta^{-1/2}
+    # lemma: on the minimal 1-delta interval, 2 sigma of the conditioned
+    # variable is at most its width
     rng = np.random.default_rng(13)
     for _ in range(200):
         k = int(rng.integers(3, 50))
@@ -112,7 +96,7 @@ def test_energy_lower_bound_direction_vacuum():
 
 
 def test_energy_lower_bound_comb_state():
-    spec = CombStateSpec(params=canonical_params(1 / 16, 4), j=0)
+    spec = comb_spec(1 / 16, 4, 0)
     st = comb_wavefunction(spec, default_comb_grid(spec))
     per_mode, _ = energy_lower_bound_from_radius(st, 0.01)
     assert per_mode <= energy_expectation(st)[1]
@@ -132,14 +116,12 @@ def test_radius_dimension_delta_guard():
 
 
 def test_comb_family_beats_radius_bound():
-    params = canonical_params(1 / 16, 4)
-    grid = default_comb_grid(CombStateSpec(params=params, j=0))
-    radii = [state_symradius(comb_wavefunction(CombStateSpec(params=params, j=j), grid), 0.01)
-             for j in range(4)]
+    radii = [state_symradius(st, 0.01) for st in comb_family(1 / 16, 4)]
     assert max(radii) >= radius_dimension_bound(4, 1, 0, 0.01)
 
 
 def test_corollary_scalings():
+    # corollary of the radius-dimension theorem: log2 radius grows as n / (2m)
     out = corollary_scalings(8, 2, 0)
     assert out["log2_radius_scaling"] == pytest.approx(2.0)
     assert out["energy_lower_bound"] > 0
@@ -154,7 +136,7 @@ def test_donoho_stark_trace_values():
 
 def test_donoho_stark_spectrum():
     for R in (1.0, 5.0):
-        eigs = donoho_stark_eigs(R, 512)
+        eigs = donoho_stark_eigs(donoho_stark_kernel(R, 512))
         assert eigs[0] >= -1e-9
         assert eigs[-1] <= 1 + 1e-6
 
@@ -183,7 +165,7 @@ def test_momentum_marginal_of_squeezed_state():
     grid = centered_grid(4096, 40.0 / 4096)
     v = vacuum_state(1, 0, [grid])
     st = apply_gate(v, squeeze(0, 2.0))
-    mom = momentum_marginal(st)
+    mom = distribution_from_arrays(st.grids[0].momenta, st.momentum_density(0))
     assert mom.second_moment == pytest.approx(0.125, abs=1e-6)
 
 

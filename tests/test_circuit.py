@@ -25,7 +25,6 @@ from hqoc.circuit import (
     gate_to_dict,
     parse_circuit,
     qubit_gate,
-    restrict_to_mode,
     serialize_circuit,
     squeeze,
 )
@@ -170,24 +169,6 @@ def test_gate_params_table():
     assert pair(bb) == (1.0, 36.0)
 
 
-def test_restrict_to_mode():
-    c = Circuit(
-        2, 1, (squeeze(0, 2.0), disp_q(1, 1.0), ctrl_disp_p(0, 0, -1.0))
-    )
-    r0 = restrict_to_mode(c, 0)
-    assert r0.m == 1 and r0.r == 1
-    assert [g.kind for g in r0.gates] == ["squeeze", "ctrl_disp_p"]
-    r1 = restrict_to_mode(c, 1)
-    assert [g.kind for g in r1.gates] == ["disp_q"]
-    # the per-mode restrictions partition the oscillator gates
-    assert len(r0.gates) + len(r1.gates) == 3
-
-
-def test_restrict_qubit_only_circuit_is_empty():
-    c = Circuit(1, 2, (qubit_gate("CZ", (0, 1)), qubit_gate("H", 0)))
-    assert restrict_to_mode(c, 0).gates == ()
-
-
 def test_adjoint_example():
     c = Circuit(1, 0, (disp_q(0, 1.0), squeeze(0, 2.0)))
     a = adjoint_circuit(c)
@@ -241,6 +222,7 @@ def test_adjoint_is_involution(c):
 @settings(max_examples=60, deadline=None)
 @given(circuits())
 def test_adjoint_preserves_circuit_params(c):
+    # adjoint invariance of (g_bar, xi_bar): U and U^dag carry the same energy bound
     p = circuit_params(c)
     q = circuit_params(adjoint_circuit(c))
     assert math.isclose(p.g_bar_max, q.g_bar_max, rel_tol=1e-10)
@@ -254,6 +236,7 @@ def test_serialize_parse_identity(c):
 
 
 def test_strength_bounds():
+    # membership in the bounded gate set Uelem(alpha, zeta) of the substitution lemma
     c = Circuit(1, 1, (squeeze(0, 2.0), disp_p(0, 1.0)))
     assert conforms_to(c, StrengthBounds(alpha=2.0, zeta=1.0))
     assert not conforms_to(c, StrengthBounds(alpha=1.5, zeta=1.0))

@@ -8,6 +8,7 @@ from hqoc.gkp import (
     GkpParams,
     aux_params,
     canonical_params,
+    comb_family,
     comb_spec,
     comb_wavefunction,
     default_comb_grid,
@@ -44,7 +45,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         canonical_params(0.01, 1)
     with pytest.raises(ValueError):
-        GkpParams(delta=0.1, d=4, ell=2, eps=0.3, L=4, n_peaks_exp=2)
+        GkpParams(delta=0.1, d=4, ell=2, eps=0.3, L=4)
 
 
 def test_comb_norm_and_peaks():
@@ -70,9 +71,7 @@ def test_peak_centers_formula():
 
 
 def test_orthonormal_family():
-    params = canonical_params(1 / 16, 4)
-    grid = default_comb_grid(CombStateSpec(params=params, j=0))
-    states = [comb_wavefunction(CombStateSpec(params=params, j=j), grid) for j in range(4)]
+    states = comb_family(1 / 16, 4)
     gram = np.array([[np.vdot(a.amps, b.amps) for b in states] for a in states])
     assert np.abs(gram - np.eye(4)).max() <= 1e-8
 
@@ -89,6 +88,7 @@ def test_support_set_geometry():
 
 
 def test_supports_disjoint_across_logical_indices():
+    # at eps = 1/(2d) code states of distinct j have disjoint supports (orthonormal family)
     params = canonical_params(1 / 16, 4)
     all_intervals = []
     for j in range(4):

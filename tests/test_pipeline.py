@@ -113,6 +113,7 @@ def test_wprep_size_and_degenerate_case():
 
 
 def test_wprep_factorized_error_budget():
+    # preparation error budget: simulated error <= 50 m (sqrt(Delta) + 2^{2 ell} Delta^2)
     report = simulate_wprep_factorized(2, 1, 0.05)
     assert report["ok"]
     assert report["total_error"] <= report["bound"]

@@ -86,6 +86,7 @@ def test_implementation_energy_components():
 
 
 def test_delta_max_selection():
+    # the largest Delta meeting an energy budget under the implementation bound
     # below the knee the 2^-(ell+1) cap binds; for huge energies the other term
     assert log2_delta_max(1, 1, 100.0) == -2.0
     huge = log2_delta_max(1, 1, 10 ** 6)
