@@ -234,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument(
         "--grid-points", type=int, dest="grid_points", metavar="N",
-        help="points per mode instead of the automatic count; the automatic dx is "
-        "held, so the extent scales with N, and the grid is centred on x = 0",
+        help="points per mode instead of the automatic count, centred on x = 0; "
+        "the extent scales with N. --grid-points keeps the snapped dx, so shifts "
+        "stay exact rolls",
     )
     p.add_argument("--margin", type=float, default=0.25)
     p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=MEM_CAP_HELP)

@@ -151,26 +151,39 @@ def comb_wavefunction(
     The default resolution requirement (8 samples per peak sigma) suits
     decoding and quadrature use.  ``auto_grid`` sizes simulation grids by the
     Nyquist band alone, so at the end of a preparation circuit they sample a
-    peak only a few times per sigma (about 3.7 for the ell=1, Delta=0.02
-    code prep); oracles compared against them lower ``samples_per_sigma``
-    (``code_prep_target`` passes 1), which is sound when the truncation
-    edges are negligible (``delta << eps``).
+    peak only a few times per sigma (3.92 for the ell=1, Delta=0.02 code prep
+    at ``base_margin=0.3``); oracles compared against them lower
+    ``samples_per_sigma`` (``code_prep_target`` passes 1), which is sound
+    when the truncation edges are negligible (``delta << eps``).
     """
     _check_grid(spec, grid, samples_per_sigma)
     p = spec.params
-    amps = _truncated_peaks((grid.xs - spec.shift) / spec.scale, p.delta, p.eps, p.L)
-    return HybridState(1, 0, (grid,), amps)
+    u = grid.xs
+    u -= spec.shift
+    u /= spec.scale
+    return HybridState(1, 0, (grid,), _truncated_peaks(u, p.delta, p.eps, p.L))
 
 
 def _truncated_peaks(u: np.ndarray, delta: float, eps: float, L: int) -> np.ndarray:
-    """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1."""
+    """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1.
+
+    Overwrites the float array ``u``: the offset ``w = u - z`` and then the
+    Gaussian are computed in place, and ``z`` is freed before the complex cast.
+    """
     z = np.rint(u)
-    w = u - z
-    inside = (np.abs(w) < eps) & (z >= -L // 2) & (z <= L // 2 - 1)
-    psi = np.where(inside, np.exp(-w ** 2 / (2 * delta ** 2)), 0.0)
-    if not psi.any():
+    w = u
+    w -= z
+    inside = (z >= -L // 2) & (z <= L // 2 - 1)
+    del z
+    inside &= np.abs(w) < eps
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    w /= 2 * delta ** 2
+    np.exp(w, out=w)
+    w[~inside] = 0.0
+    if not w.any():
         raise GridError("comb support does not intersect the grid")
-    amps = psi.astype(complex)
+    amps = w.astype(complex)
     amps /= np.linalg.norm(amps)
     return amps
 

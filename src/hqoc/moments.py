@@ -99,8 +99,9 @@ def generator_mlf(g: Gate) -> MomentWindowMap:
     """
     spec = KINDS.get(g.kind)
     if spec is not None and spec.shifts:
-        # a controlled shift moves one branch only: the window widens both ways
-        lo, hi = (-abs(g.t), abs(g.t)) if spec.controlled else (g.t, g.t)
+        # a controlled shift moves the control-1 branch only: the window
+        # becomes the hull of the unmoved and the moved branch supports
+        lo, hi = (min(0.0, g.t), max(0.0, g.t)) if spec.controlled else (g.t, g.t)
         b = (lo, hi, 0, 0) if spec.shifts == "x" else (0, 0, lo, hi)
         return MomentWindowMap(a=(1, 1, 1, 1), b=b)
     if g.kind == "squeeze":

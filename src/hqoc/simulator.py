@@ -11,6 +11,8 @@ Gate kernels:
 * ``e^{-itP}``: exact roll when ``t`` is an integer number of cells, otherwise
   a phase multiply in the discrete Fourier domain (exact for band-limited
   states on a periodic grid, wraparound guarded by a boundary-mass check);
+  :func:`auto_grid` snaps ``dx`` so that, where one ``dx`` can, every shift
+  of a mode is a roll (the circuits of the paper's preparations all are);
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
   interpolation; legal because the gate set has no controlled squeezing, so
   ``dx`` is global per mode);
@@ -50,12 +52,13 @@ MIN_GRID_POINTS = 256
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
 # ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state,
-# its private copy and one transient of the same size (a shift's forward or
-# inverse transform, or a qubit gate's product), i.e. 3 copies; the FFT plan,
-# the O(sqrt n) phase tables and, outside the kernels, the float temporaries
-# of comb building and sampling come on top.  Measured ``tracemalloc`` peaks:
-# 3.03 for vacuum plus ``apply_circuit`` of the comb prep (n=8, Delta=0.02),
-# 3.06 for ``run_sampling_scheme`` (n=2, m=1, Delta=0.01).  Rounded up to 4.
+# its private copy and one transient of the same size (a shift's roll or its
+# forward or inverse transform, or a qubit gate's product), i.e. 3 copies; the
+# FFT plan, the O(sqrt n) phase tables and, outside the kernels, the float
+# temporaries of comb building (1.56 copies) and sampling come on top.
+# Measured ``tracemalloc`` peaks: 2.13 for vacuum plus ``apply_circuit`` of
+# the comb prep (n=8, Delta=0.02), 3.00 for ``run_sampling_scheme`` (n=2,
+# m=1, Delta=0.01; its uncontrolled shift's roll).  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -222,6 +225,15 @@ def _momentum_phase(grid: GridSpec, t: float) -> np.ndarray:
     return _linear_phase(0.0, -2.0 * math.pi * t / grid.extent, grid.n_points, fft_order=True)
 
 
+def _whole_cells(t: float, dx: float, n: int) -> int | None:
+    """``t / dx`` if a shift by ``t`` is a roll: whole cells (to 1e-9), fewer than ``n``."""
+    cells = t / dx
+    nearest = round(cells)
+    if abs(cells - nearest) < 1e-9 and abs(nearest) < n:
+        return nearest
+    return None
+
+
 def _apply_inplace(state: HybridState, g: Gate) -> None:
     """Apply one elementary gate to ``state``, overwriting its amplitudes and grids.
 
@@ -253,10 +265,9 @@ def _apply_inplace(state: HybridState, g: Gate) -> None:
     if spec.shifts == "p":
         view *= _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points).reshape(shape)
         return
-    cells = g.t / grid.dx
-    nearest = round(cells)
-    if abs(cells - nearest) < 1e-9 and abs(nearest) < grid.n_points:
-        view[...] = np.roll(view, nearest, axis=g.mode)
+    cells = _whole_cells(g.t, grid.dx, grid.n_points)
+    if cells is not None:
+        view[...] = np.roll(view, cells, axis=g.mode)
     else:
         view[...] = np.fft.fft(view, axis=g.mode, norm="ortho")
         view *= _momentum_phase(grid, g.t).reshape(shape)
@@ -380,11 +391,21 @@ def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0)
 
     Starting from the vacuum's effective window (radius covering all but
     1e-12 of the mass), the exact generator maps are composed through every
-    prefix.  ``dx`` keeps the largest momentum window inside the Nyquist band
-    ``[-pi/dx, pi/dx]`` and the extent covers the largest position window,
-    both widened by ``1 + base_margin``; nothing else sets ``dx``.  Returned
-    grids refer to t=0: squeezers rescale ``dx`` during simulation, and the
-    per-prefix squeeze factors here account for that.
+    prefix.  The band ``dx`` keeps the largest momentum window inside the
+    Nyquist band ``[-pi/dx, pi/dx]``; ``n`` is the power of two whose extent
+    at that ``dx`` covers the largest position window, both widened by
+    ``1 + base_margin``; the fill ``dx`` shrinks the band ``dx`` until ``n``
+    cells land exactly on that extent.  Returned grids refer to t=0:
+    squeezers rescale ``dx`` during simulation, and the per-prefix squeeze
+    factors here account for that.
+
+    Snap rule: ``dx`` is then raised to the smallest value in ``[fill, band]``
+    on which every position shift of the mode is a whole number of cells, so
+    each shift runs as an exact roll.  ``n`` is not chosen again: it and the
+    memory never grow, the extent still covers every position window, and
+    ``dx <= band`` keeps every momentum window inside the Nyquist band.
+    Without such a ``dx`` (incommensurate shifts, a lone shift of less than
+    one cell) the grid is the fill grid.
     """
     r0 = VACUUM_TAIL_RADIUS
     init: Window = (-r0, r0, -r0, r0)
@@ -408,11 +429,42 @@ def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0)
             for w, s in zip(traj, scales)
         )
         n = max(MIN_GRID_POINTS, _next_pow2(n_req))
-        # shrink dx to land the extent exactly on the target (margins intact)
-        specs.append(centered_grid(n, dx0 * n_req / n))
+        # shrink dx to land the extent exactly on the target (margins intact),
+        # then snap it up towards the band so that every shift is a roll
+        specs.append(centered_grid(n, _snap_dx(c, a, dx0 * n_req / n, dx0, n)))
 
     check_mem_cap(specs, c.r, mem_cap_mb)
     return specs
+
+
+def _snap_dx(c: Circuit, a: int, dx_fill: float, dx_band: float, n: int) -> float:
+    """Smallest ``dx`` in ``[dx_fill, dx_band]`` on which every position shift
+    of mode ``a`` is a roll, else ``dx_fill``.
+
+    Each candidate puts ``k`` cells on the shortest shift and is checked with
+    the kernel's own float products ``dx * alpha`` through the squeezers.
+    """
+    track = [g for g in c.gates
+             if g.mode == a and (g.kind == "squeeze" or KINDS[g.kind].shifts == "x")]
+
+    def shifts(dx):  # (t, dx at its prefix) of each position shift
+        for g in track:
+            if g.kind == "squeeze":
+                dx = dx * g.alpha
+            else:
+                yield g.t, dx
+
+    lengths = [abs(t / d) for t, d in shifts(1.0) if t]  # in t=0 units
+    if not lengths:
+        return dx_fill
+    r = min(lengths)
+    for k in range(math.floor(r / dx_fill), math.ceil(r / dx_band) - 1, -1):
+        dx = r / k
+        if dx_fill <= dx <= dx_band and all(
+            _whole_cells(t, d, n) is not None for t, d in shifts(dx)
+        ):
+            return dx
+    return dx_fill
 
 
 def check_mem_cap(grids, r: int, mem_cap_mb: float) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,3 +178,35 @@ def test_untruncated_comb_bit_identical_to_full_grid_sum():
         full = psi.astype(complex)
         full /= np.linalg.norm(full)
         assert np.array_equal(untruncated_comb_wavefunction(L, delta, grid).amps, full)
+
+
+def _comb_reference(spec, grid):
+    """The comb from the closed form with whole-array temporaries."""
+    p = spec.params
+    u = (grid.xs - spec.shift) / spec.scale
+    z = np.rint(u)
+    w = u - z
+    inside = (np.abs(w) < p.eps) & (z >= -p.L // 2) & (z <= p.L // 2 - 1)
+    psi = np.where(inside, np.exp(-w ** 2 / (2 * p.delta ** 2)), 0.0)
+    amps = psi.astype(complex)
+    amps /= np.linalg.norm(amps)
+    return amps
+
+
+def test_comb_wavefunction_in_place_peak_and_bits():
+    from hqoc.pipeline import EncodingLayout, encoding_grid
+
+    grid = encoding_grid(EncodingLayout(n=2, m=1), 0.01)  # 2^21 cells
+    spec = comb_spec(0.01, 4, 1)
+    tracemalloc.start()
+    try:
+        st = comb_wavefunction(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1] / (16 * grid.n_points)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0
+    assert st.amps.tobytes() == _comb_reference(spec, grid).tobytes()
+    small = default_comb_grid(comb_spec(1 / 16, 4, 3))
+    for j in range(4):
+        spec = comb_spec(1 / 16, 4, j)
+        assert comb_wavefunction(spec, small).amps.tobytes() == _comb_reference(spec, small).tobytes()

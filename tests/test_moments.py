@@ -40,8 +40,8 @@ W = (-1.0, 2.0, -3.0, 0.5)
 
 def test_generator_maps():
     assert generator_mlf(squeeze(0, 3.0))(W) == pytest.approx((-3.0, 6.0, -1.0, 1.0 / 6.0))
-    assert generator_mlf(ctrl_disp_p(0, 0, -2.0))(W) == pytest.approx((-3.0, 4.0, -3.0, 0.5))
-    assert generator_mlf(ctrl_disp_q(0, 0, 2.0))(W) == pytest.approx((-1.0, 2.0, -5.0, 2.5))
+    assert generator_mlf(ctrl_disp_p(0, 0, -2.0))(W) == pytest.approx((-3.0, 2.0, -3.0, 0.5))
+    assert generator_mlf(ctrl_disp_q(0, 0, 2.0))(W) == pytest.approx((-1.0, 2.0, -3.0, 2.5))
     assert generator_mlf(disp_p(0, 1.5))(W) == pytest.approx((0.5, 3.5, -3.0, 0.5))
     assert generator_mlf(disp_q(0, -1.0))(W) == pytest.approx((-1.0, 2.0, -4.0, -0.5))
     assert generator_mlf(qubit_gate("H", 0))(W) == W

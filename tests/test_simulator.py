@@ -12,6 +12,7 @@ from hqoc.circuit import (
     qubit_gate,
     squeeze,
 )
+from hqoc.moments import circuit_window_trajectory
 from hqoc.simulator import (
     VACUUM_TAIL_RADIUS,
     WORKING_SET_COPIES,
@@ -236,6 +237,88 @@ def test_auto_grid_prep_circuit_resolution():
     td = trace_distance(out, prep_target_state(n, delta, out.grids[0]))
     td_fine = trace_distance(out_fine, prep_target_state(n, delta, out_fine.grids[0]))
     assert td == pytest.approx(td_fine, abs=1e-6)
+
+
+def _shift_cells(c, grid):
+    """Cells of each position shift of mode 0, following dx through the squeezers."""
+    dx, out = grid.dx, []
+    for g in c.gates:
+        if g.kind == "squeeze":
+            dx = dx * g.alpha
+        elif g.kind in ("disp_p", "ctrl_disp_p"):
+            out.append(g.t / dx)
+    return out
+
+
+def test_prep_shifts_are_exact_rolls(monkeypatch):
+    from hqoc.pipeline import build_code_prep, build_prep_circuit
+
+    circuits = [(build_code_prep(1, 0.02), 2 ** 18), (build_prep_circuit(8, 0.02), 2 ** 16),
+                (build_code_prep(2, 0.01), 2 ** 19)]
+    grids = []
+    for c, n in circuits:
+        g = auto_grid(c, base_margin=0.3)[0]
+        assert g.n_points == n
+        cells = _shift_cells(c, g)
+        assert len(cells) > 1
+        assert all(abs(k - round(k)) < 1e-9 for k in cells), cells
+        grids.append(g)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a position shift ran through the FFT")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    for (c, _), g in zip(circuits[:2], grids):
+        assert apply_circuit(vacuum_state(1, 1, [g]), c).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def _fill_grid(c, base_margin):
+    """The grid before snapping: the Nyquist ``dx`` shrunk to fill ``n`` cells."""
+    r0 = VACUUM_TAIL_RADIUS
+    traj = circuit_window_trajectory(c, (-r0, r0, -r0, r0))
+    scales = [1.0]
+    for g in c.gates:
+        scales.append(scales[-1] * (g.alpha if g.kind == "squeeze" else 1.0))
+    grow = 1.0 + base_margin
+    dx0 = min(math.pi / (grow * max(abs(w[0][2]), abs(w[0][3])) * s) for w, s in zip(traj, scales))
+    n_req = max(2 * grow * max(abs(w[0][0]), abs(w[0][1])) / (dx0 * s) for w, s in zip(traj, scales))
+    n = max(256, 1 << math.ceil(math.log2(n_req)))
+    return centered_grid(n, dx0 * n_req / n)
+
+
+def test_auto_grid_keeps_fill_grid_without_commensurate_dx():
+    from hqoc.acceptance import random_circuit
+
+    lone = Circuit(1, 0, (disp_p(0, 1e-3),))  # less than one cell
+    rand = random_circuit(np.random.default_rng(0))  # five incommensurate shifts
+    assert len(_shift_cells(rand, auto_grid(rand)[0])) == 5
+    for c in (lone, rand):
+        for margin in (0.25, 0.3):
+            assert auto_grid(c, base_margin=margin) == [_fill_grid(c, margin)]
+
+
+def test_position_windows_hold_support_tightly():
+    from hqoc.pipeline import build_code_prep, build_prep_circuit
+
+    r0 = VACUUM_TAIL_RADIUS
+    for c in (build_prep_circuit(3, 0.04), build_code_prep(1, 0.02)):
+        traj = circuit_window_trajectory(c, (-r0, r0, -r0, r0))
+        slack = []
+
+        def check(i, st):
+            xs, dens = st.grids[0].xs, st.position_density(0)
+            half = st.grids[0].dx / 2
+            w = traj[i][0]
+            # all but 1e-12 of the mass lies in cells that meet the window
+            assert dens[(xs + half < w[0]) | (xs - half > w[1])].sum() <= 1e-12, i
+            slack.append(max(abs(w[0]), abs(w[1])) / _support_radius(xs, dens))
+
+        v = vacuum_state(1, 1, auto_grid(c, base_margin=0.3))
+        check(0, v)
+        apply_circuit(v, c, callback=check)
+        assert len(slack) == len(c.gates) + 1
+        assert max(slack) <= 1.1, max(slack)
 
 
 def test_auto_grid_code_prep_fits_default_cap():
