@@ -263,6 +263,7 @@ def test_prep_shifts_are_exact_rolls(monkeypatch):
         assert len(cells) > 1
         assert all(abs(k - round(k)) < 1e-9 for k in cells), cells
         grids.append(g)
+    assert auto_grid(circuits[2][0])[0].n_points == 2 ** 19  # default margin too
 
     def no_fft(*args, **kwargs):
         raise AssertionError("a position shift ran through the FFT")
