@@ -158,20 +158,23 @@ def comb_wavefunction(
     """
     _check_grid(spec, grid, samples_per_sigma)
     p = spec.params
-    u = grid.xs
-    u -= spec.shift
-    u /= spec.scale
-    return HybridState(1, 0, (grid,), _truncated_peaks(u, p.delta, p.eps, p.L))
+    amps = _truncated_peaks(grid, spec.shift, spec.scale, p.delta, p.eps, p.L)
+    return HybridState(1, 0, (grid,), amps)
 
 
-def _truncated_peaks(u: np.ndarray, delta: float, eps: float, L: int) -> np.ndarray:
+def _truncated_peaks(
+    grid: GridSpec, shift: float, scale: float, delta: float, eps: float, L: int
+) -> np.ndarray:
     """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1.
 
-    Overwrites the float array ``u``: the offset ``w = u - z`` and then the
-    Gaussian are computed in place, and ``z`` is freed before the complex cast.
+    ``u = (x - shift) / scale`` over the cells x of ``grid``.  ``u``, the
+    offset ``w = u - z`` and then the Gaussian share one float buffer, and
+    ``z`` is freed before the complex cast.
     """
-    z = np.rint(u)
-    w = u
+    w = grid.xs  # u, then w = u - z, then the Gaussian
+    w -= shift
+    w /= scale
+    z = np.rint(w)
     w -= z
     inside = (z >= -L // 2) & (z <= L // 2 - 1)
     del z
@@ -237,7 +240,7 @@ def overlap_check(delta: float, eps: float, L: int) -> tuple[float, float]:
     n = 1 << math.ceil(math.log2(2 * reach / dx))
     grid = centered_grid(n, dx)
     full = untruncated_comb_wavefunction(L, delta, grid)
-    trunc = _truncated_peaks(grid.xs, delta, eps, L)
+    trunc = _truncated_peaks(grid, 0.0, 1.0, delta, eps, L)
     overlap_sq = abs(np.vdot(full.amps, trunc)) ** 2
     bound = 1.0 - 16.0 * delta ** 2 - 2.0 * math.exp(-((eps / delta) ** 2))
     return float(overlap_sq), float(bound)
