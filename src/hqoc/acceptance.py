@@ -87,6 +87,10 @@ class CriterionResult:
 
 # Strength cap of random circuits: |t| <= STRENGTH and 1/STRENGTH <= alpha <= STRENGTH.
 STRENGTH = 2.0
+# Gate mix of random circuits.  Drawn as ``rng.integers(0, k)`` indexes: the
+# same stream as ``rng.choice`` on these names, at a fifth of the cost.
+RANDOM_KINDS = ("disp_q", "disp_p", "ctrl_disp_q", "ctrl_disp_p", "squeeze", "qubit_gate")
+RANDOM_QUBIT_GATES = ("H", "S", "T", "X", "Z")
 
 
 def random_circuit(rng, max_gates: int = 12) -> Circuit:
@@ -94,14 +98,12 @@ def random_circuit(rng, max_gates: int = 12) -> Circuit:
     T = int(rng.integers(1, max_gates + 1))
     gates = []
     for _ in range(T):
-        kind = rng.choice(
-            ["disp_q", "disp_p", "ctrl_disp_q", "ctrl_disp_p", "squeeze", "qubit_gate"]
-        )
+        kind = RANDOM_KINDS[rng.integers(0, len(RANDOM_KINDS))]
         if kind == "squeeze":
             al = float(np.exp(rng.uniform(-math.log(STRENGTH), math.log(STRENGTH))))
             gates.append(squeeze(0, al))
         elif kind == "qubit_gate":
-            gates.append(qubit_gate(str(rng.choice(["H", "S", "T", "X", "Z"])), 0))
+            gates.append(qubit_gate(RANDOM_QUBIT_GATES[rng.integers(0, len(RANDOM_QUBIT_GATES))], 0))
         elif KINDS[kind].controlled:
             gates.append(Gate(kind=kind, mode=0, qubit=0, t=float(rng.uniform(-STRENGTH, STRENGTH))))
         else:

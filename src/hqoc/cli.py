@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bounds import donoho_stark_trace, radius_dimension_bound
 from .circuit import Circuit, CircuitError, parse_circuit, qubit_gate, serialize_circuit
@@ -134,8 +136,9 @@ def cmd_sample(args) -> int:
     run = run_sampling_scheme(
         u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args)
     )
-    lines = ["".join(map(str, bits.tolist())) for bits in run.samples]
-    _write("\n".join(lines) + "\n", args.out)
+    # one row of ASCII digits per shot, each ended by a newline
+    rows = np.pad(run.samples + ord("0"), ((0, 0), (0, 1)), constant_values=ord("\n"))
+    _write(rows.astype(np.uint8).tobytes().decode("ascii"), args.out)
     if args.budget_out:
         _emit(
             {

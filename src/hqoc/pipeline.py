@@ -17,7 +17,8 @@ Circuit constructors (gate lists in application order):
 
 Measurement decoding divides a homodyne outcome by the fine peak spacing
 ``sqrt(2 pi / d)``, rounds, and reduces mod d; per-mode bit strings are
-concatenated and the trailing dummy bits discarded.
+concatenated and the trailing dummy bits discarded.  It runs on the whole
+``(shots, m)`` outcome array at once.
 """
 
 from __future__ import annotations
@@ -118,16 +119,19 @@ class EncodingLayout:
             out.append(j)
         return out
 
-    def bits_for_indices(self, indices) -> tuple[int, ...]:
-        """Per-mode logical indices -> logical basis bits (length n)."""
-        bits: list[int] = []
-        for j in indices:
-            bits.extend((int(j) >> (self.ell - 1 - i)) & 1 for i in range(self.ell))
-        return tuple(bits[: self.n])
+    def bits_for_indices(self, indices) -> np.ndarray:
+        """Per-mode logical indices ``(..., m)`` -> int64 logical bits ``(..., n)``.
+
+        Each index gives ``ell`` bits, most significant first; the trailing
+        ``K`` dummy bits are dropped.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        bits = (idx[..., None] >> np.arange(self.ell - 1, -1, -1)) & 1
+        return bits.reshape(idx.shape[:-1] + (self.n_prime,))[..., : self.n]
 
 
-def discretize(x: float, ell: int):
-    """round(x / sqrt(2 pi 2^-ell)) mod 2^ell, ties to even.
+def discretize(x, ell: int):
+    """round(x / sqrt(2 pi 2^-ell)) mod 2^ell, ties to even, elementwise on arrays.
 
     Dividing by the fine peak spacing sqrt(2 pi / d) sends the peak at
     sqrt(2 pi d) z + sqrt(2 pi / d) j to z d + j, so the residue mod d is the
@@ -137,13 +141,15 @@ def discretize(x: float, ell: int):
     return np.mod(np.rint(np.asarray(x) / spacing).astype(np.int64), 2 ** ell)
 
 
-def post_process(y, layout: EncodingLayout) -> tuple[int, ...]:
-    """Per-mode discretize -> bits -> concatenate -> discard trailing dummies."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[-1] != layout.m:
+def post_process(ys, layout: EncodingLayout) -> np.ndarray:
+    """Homodyne outcomes ``(..., m)`` -> int64 logical bits ``(..., n)``.
+
+    A bare scalar is one outcome of an ``m = 1`` layout.
+    """
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if ys.shape[-1] != layout.m:
         raise ValueError(f"expected {layout.m} homodyne values")
-    indices = [int(discretize(y[alpha], layout.ell)) for alpha in range(layout.m)]
-    return layout.bits_for_indices(indices)
+    return layout.bits_for_indices(discretize(ys, layout.ell))
 
 
 # -- preparation circuits ------------------------------------------------------
@@ -413,6 +419,8 @@ def run_sampling_scheme(
     ``sqrt(2 pi / d) * 2^bit`` of the encoding mode, which permute the comb
     states; homodyne sampling plus post-processing yields the output bits.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     if m > 2:
         raise ValueError("full tensor simulation is capped at m <= 2 modes")
     layout = EncodingLayout(n=n, m=m)
@@ -445,9 +453,9 @@ def run_sampling_scheme(
 def sample_encoded_state(
     state: HybridState, layout: EncodingLayout, shots: int, seed: int
 ) -> np.ndarray:
-    """Homodyne + post-processing of an already-encoded state."""
+    """Homodyne + post-processing of an already-encoded state: ``(shots, n)`` int64 bits."""
     ys, _ = homodyne_sample(state, shots, seed)
-    return np.array([post_process(y, layout) for y in ys], dtype=np.int64)
+    return post_process(ys, layout)
 
 
 def simulate_prep(n: int, delta: float):

@@ -1,9 +1,14 @@
 """Acceptance suite: runs every criterion at its stated tolerance and prints
 one pass/fail line per criterion (also available via `hqoc verify --full`)."""
 
+import math
+
+import numpy as np
 import pytest
 
-from hqoc.acceptance import ALL_CRITERIA
+import hqoc.acceptance as acceptance
+from hqoc.acceptance import ALL_CRITERIA, STRENGTH, random_circuit
+from hqoc.circuit import KINDS, Circuit, Gate, qubit_gate, squeeze
 
 
 @pytest.mark.parametrize("number", sorted(ALL_CRITERIA))
@@ -13,3 +18,37 @@ def test_acceptance_criterion(number):
     assert result.passed, f"criterion {number} failed: {result.details}"
     if result.limit is not None:
         assert result.runtime < result.limit
+
+
+def random_circuit_by_choice(rng, max_gates=12):
+    """``random_circuit`` drawing its gate mix with ``rng.choice`` on lists of names."""
+    T = int(rng.integers(1, max_gates + 1))
+    gates = []
+    for _ in range(T):
+        kind = rng.choice(
+            ["disp_q", "disp_p", "ctrl_disp_q", "ctrl_disp_p", "squeeze", "qubit_gate"]
+        )
+        if kind == "squeeze":
+            al = float(np.exp(rng.uniform(-math.log(STRENGTH), math.log(STRENGTH))))
+            gates.append(squeeze(0, al))
+        elif kind == "qubit_gate":
+            gates.append(qubit_gate(str(rng.choice(["H", "S", "T", "X", "Z"])), 0))
+        elif KINDS[kind].controlled:
+            gates.append(Gate(kind=kind, mode=0, qubit=0, t=float(rng.uniform(-STRENGTH, STRENGTH))))
+        else:
+            gates.append(Gate(kind=kind, mode=0, t=float(rng.uniform(-STRENGTH, STRENGTH))))
+    return Circuit(1, 1, tuple(gates))
+
+
+def test_random_circuit_matches_choice_draws():
+    for seed in range(200):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_circuit(fast, max_gates=16) == random_circuit_by_choice(ref, max_gates=16)
+        assert fast.random() == ref.random()  # the stream continues in step
+
+
+@pytest.mark.parametrize("number", [5, 7, 9])
+def test_random_circuit_criteria_details_match_choice_draws(number, monkeypatch):
+    details = ALL_CRITERIA[number]().details
+    monkeypatch.setattr(acceptance, "random_circuit", random_circuit_by_choice)
+    assert ALL_CRITERIA[number]().details == details

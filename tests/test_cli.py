@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hqoc.circuit import Circuit, disp_q, serialize_circuit, squeeze
+from hqoc.circuit import Circuit, disp_q, qubit_gate, serialize_circuit, squeeze
 from hqoc.cli import main
-from hqoc.pipeline import prep_size_formula
+from hqoc.pipeline import prep_size_formula, run_sampling_scheme
 
 
 @pytest.fixture
@@ -78,6 +78,26 @@ def test_sample_logical_x(tmp_path):
     assert main(["sample", "--n", "2", "--m", "1", "--delta", "0.02", "--shots",
                  "20", "--seed", "1", "--logical", "X:2", "--out", str(out)]) == 0
     assert set(out.read_text().splitlines()) == {"01"}
+
+
+@pytest.mark.parametrize("shots", ["0", "-1"])
+def test_sample_rejects_bad_shot_counts(shots, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    args = ["sample", "--n", "2", "--m", "1", "--delta", "0.05", "--shots", shots, "--out", str(out)]
+    assert main(args) == 1
+    assert "shots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, m, delta, logical", [(2, 1, 0.02, "X:2"), (3, 2, 0.125, "X:1,X:3")])
+def test_sample_csv_matches_per_row_join(n, m, delta, logical, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--n", str(n), "--m", str(m), "--delta", str(delta), "--shots", "300",
+                 "--seed", "11", "--logical", logical, "--out", str(out)]) == 0
+    gates = tuple(qubit_gate("X", int(item[2:]) - 1) for item in logical.split(","))
+    run = run_sampling_scheme(Circuit(0, n, gates), n, m, delta, 300, 11)
+    lines = ["".join(map(str, bits.tolist())) for bits in run.samples]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_tradeoff_table(tmp_path):

@@ -3,7 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hqoc.pipeline as pipeline
 from hqoc.circuit import Circuit, qubit_gate, squeeze
 from hqoc.moments import ceil_log2, circuit_params, energy_upper_bound
 from hqoc.pipeline import (
@@ -169,7 +171,7 @@ def test_layout_roundtrip_bits_indices():
         lay = EncodingLayout(n=n, m=m)
         for x in range(2 ** n):
             bits = tuple((x >> (n - 1 - i)) & 1 for i in range(n))
-            assert lay.bits_for_indices(lay.indices_for_bits(bits)) == bits
+            assert lay.bits_for_indices(lay.indices_for_bits(bits)).tolist() == list(bits)
 
 
 def test_discretize_and_post_process():
@@ -177,8 +179,8 @@ def test_discretize_and_post_process():
     y = 3 * math.sqrt(2 * math.pi / 4)
     lay = EncodingLayout(n=2, m=1)
     assert int(discretize(y, 2)) == 3
-    assert post_process([y], lay) == (1, 1)
-    assert post_process([0.0], lay) == (0, 0)
+    assert post_process([y], lay).tolist() == [1, 1]
+    assert post_process([0.0], lay).tolist() == [0, 0]
     # peaks of the comb itself decode to their logical index
     y_peak = math.sqrt(2 * math.pi * 4) * 5 + 2 * math.sqrt(2 * math.pi / 4)
     assert int(discretize(y_peak, 2)) == 2
@@ -189,7 +191,96 @@ def test_post_process_two_modes():
     lay = EncodingLayout(n=3, m=2)
     fine = math.sqrt(2 * math.pi / 4)
     y = [2 * fine, 1 * fine]
-    assert post_process(y, lay) == (1, 0, 0)
+    assert post_process(y, lay).tolist() == [1, 0, 0]
+
+
+def per_shot_reference(ys, lay):
+    """Decode one shot at a time, one mode at a time, in plain Python."""
+    spacing = math.sqrt(2.0 * math.pi * 2.0 ** (-lay.ell))
+    out = []
+    for shot in ys:
+        bits = []
+        for y in shot:
+            j = round(y / spacing) % lay.d  # round() ties to even
+            bits += [(j >> (lay.ell - 1 - i)) & 1 for i in range(lay.ell)]
+        out.append(bits[: lay.n])
+    return out
+
+
+# layouts with trailing dummies (K > 0), m up to 4
+DUMMY_LAYOUTS = [(n, m) for m in range(2, 5) for n in range(m, 9) if (-n) % m]
+
+
+@st.composite
+def shots_for_layout(draw):
+    n, m = draw(st.sampled_from(DUMMY_LAYOUTS))
+    lay = EncodingLayout(n=n, m=m)
+    spacing = math.sqrt(2.0 * math.pi * 2.0 ** (-lay.ell))
+    value = st.one_of(
+        st.floats(-1e4, 1e4),
+        # exact half-spacing ties, negative ones included
+        st.integers(-200, 200).map(lambda k: (k + 0.5) * spacing),
+    )
+    shots = draw(st.integers(1, 6))
+    return lay, [[draw(value) for _ in range(m)] for _ in range(shots)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shots_for_layout())
+def test_post_process_matches_per_shot_reference(case):
+    lay, ys = case
+    bits = post_process(np.array(ys), lay)
+    assert bits.dtype == np.int64 and bits.shape == (len(ys), lay.n)
+    assert bits.tolist() == per_shot_reference(ys, lay)
+
+
+def test_post_process_ties_go_to_even():
+    lay = EncodingLayout(n=3, m=2)  # ell = 2, K = 1
+    spacing = math.sqrt(2.0 * math.pi / 4)
+    ks = np.array([0.5, 1.5, 2.5, 4.5])  # (3.5 * spacing) / spacing is not exactly 3.5
+    ys = np.column_stack([ks, -ks]) * spacing
+    assert np.array_equal(np.abs(ys / spacing), np.column_stack([ks, ks]))  # the ties are exact
+    # k + 1/2 rounds to the even one of k, k + 1; -(k + 1/2) to its negative, mod 4
+    assert post_process(ys, lay).tolist() == [[0, 0, 0], [1, 0, 1], [1, 0, 1], [0, 0, 0]]
+
+
+def test_post_process_shapes():
+    lay1 = EncodingLayout(n=2, m=1)
+    three = 3 * math.sqrt(2 * math.pi / 4)
+    assert post_process(three, lay1).tolist() == [1, 1]  # a bare scalar is one m=1 outcome
+    assert post_process(np.full((2, 5, 1), three), lay1).shape == (2, 5, 2)
+    lay2 = EncodingLayout(n=3, m=2)
+    assert post_process(np.zeros((7, 2)), lay2).shape == (7, 3)
+    with pytest.raises(ValueError, match="expected 2 homodyne values"):
+        post_process(np.zeros((7, 3)), lay2)
+    with pytest.raises(ValueError, match="expected 2 homodyne values"):
+        post_process(0.0, lay2)
+
+
+def test_sample_encoded_state_decodes_in_one_call(monkeypatch):
+    lay = EncodingLayout(n=2, m=1)
+    st_ = encode_basis_state((1, 0), lay, 0.02)
+    calls = []
+
+    def counting(ys, layout):
+        calls.append(np.shape(ys))
+        return post_process(ys, layout)
+
+    monkeypatch.setattr(pipeline, "post_process", counting)
+    samples = sample_encoded_state(st_, lay, 10_000, seed=3)
+    assert calls == [(10_000, 1)]
+    assert samples.shape == (10_000, 2) and samples.dtype == np.int64
+    assert set(map(tuple, samples.tolist())) == {(1, 0)}
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_run_rejects_bad_shot_counts_before_encoding(shots, monkeypatch):
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("encoded a state for a bad shot count")
+
+    monkeypatch.setattr(pipeline, "encode_basis_state", no_encoding)
+    with pytest.raises(ValueError, match="shots"):
+        run_sampling_scheme(Circuit(0, 2, ()), n=2, m=1, delta=0.05, shots=shots, seed=0)
 
 
 def test_encode_measure_decode_roundtrip():
