@@ -59,6 +59,7 @@ from .simulator import (
     auto_grid,
     energy_expectation,
     fidelity,
+    mode_marginals,
     trace_distance,
     vacuum_state,
 )
@@ -202,13 +203,11 @@ def criterion_5() -> CriterionResult:
         records = []
 
         def check(i, st, records=records, traj=traj):
-            energy = energy_expectation(st)[1]
+            mg = mode_marginals(st, 0)
             w = traj[i][0]
-            xs = st.grids[0].xs
-            out_pos = float(st.position_density(0)[(xs < w[0]) | (xs > w[1])].sum())
-            ps = st.grids[0].momenta
-            out_mom = float(st.momentum_density(0)[(ps < w[2]) | (ps > w[3])].sum())
-            records.append((energy, max(out_pos, out_mom)))
+            out_pos = float(mg.position[(mg.xs < w[0]) | (mg.xs > w[1])].sum())
+            out_mom = float(mg.momentum[(mg.momenta < w[2]) | (mg.momenta > w[3])].sum())
+            records.append((mg.energy, max(out_pos, out_mom)))
 
         check(0, state)
         apply_circuit(state, c, callback=check)

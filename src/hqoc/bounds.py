@@ -13,6 +13,18 @@ marginals of simulated states):
   (a product of projectors, so PSD with eigenvalues <= 1 and trace
   ``4 R^2 / pi``).
 
+The kernel is discretised on a uniform trapezoid grid of step ``h``, so its
+matrix is Toeplitz, ``K[i, j] = f[|i - j|]`` with
+``f[k] = sin(2 R k h) / (pi k h)`` and ``f[0] = 2 R / pi``: it is built from
+those n values, not from an n x n table of differences.  The kernel and the
+weights are even under ``x -> -x``, so the weighted matrix ``A`` is
+centrosymmetric (``J A J = A`` with ``J`` the exchange matrix).  With the
+halves ``A11 = A[:h, :h]`` and ``A12 = A[:h, -h:]`` (``h = n // 2``) its
+spectrum is that of ``A11 + A12 J`` (even vectors) together with that of
+``A11 - A12 J`` (odd vectors): two half-size problems at about a quarter of
+the flops.  For odd ``n`` the middle row and column join the even block,
+scaled by ``sqrt(2)``.
+
 Distributions are sorted ``(value, mass)`` arrays; interval infima are found
 by exact two-pointer sweeps, no continuous optimization.
 """
@@ -174,18 +186,21 @@ class DonohoStarkKernel:
 
 def donoho_stark_kernel(R: float, n_quad: int) -> DonohoStarkKernel:
     """Trapezoid discretization of k(x,y) = sin(2R(x-y))/(pi(x-y)) on [-R,R]^2."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"R must be positive and finite, got {R}")
     if n_quad < 64:
         raise ValueError("n_quad must be >= 64")
     xs = np.linspace(-R, R, n_quad)
-    w = np.full(n_quad, xs[1] - xs[0])
+    h = xs[1] - xs[0]
+    w = np.full(n_quad, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    diff = xs[:, None] - xs[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = np.sin(2.0 * R * diff) / (math.pi * diff)
-    np.fill_diagonal(K, 2.0 * R / math.pi)  # removable singularity
+    f = np.empty(n_quad)  # f[k] = k(x, x + k h)
+    f[0] = 2.0 * R / math.pi  # removable singularity
+    kh = h * np.arange(1, n_quad)
+    f[1:] = np.sin(2.0 * R * kh) / (math.pi * kh)
+    # window i of f[n-1], ..., f[1], f[0], ..., f[n-1] is row n-1-i of K
+    K = np.lib.stride_tricks.sliding_window_view(np.concatenate((f[:0:-1], f)), n_quad)[::-1]
     sw = np.sqrt(w)
     A = sw[:, None] * K * sw[None, :]
     A = 0.5 * (A + A.T)
@@ -193,8 +208,24 @@ def donoho_stark_kernel(R: float, n_quad: int) -> DonohoStarkKernel:
 
 
 def donoho_stark_eigs(kern: DonohoStarkKernel) -> np.ndarray:
-    """Ascending eigenvalues of a discretized kernel (in [0, 1] up to quadrature error)."""
-    return np.linalg.eigvalsh(kern.matrix)
+    """Ascending eigenvalues of a discretized kernel (in [0, 1] up to quadrature error).
+
+    Solved as the even and the odd half-size blocks of the centrosymmetric
+    matrix (see the module docstring); raises ``ValueError`` for a matrix
+    that is not centrosymmetric.
+    """
+    A = kern.matrix
+    if not np.array_equal(A, A[::-1, ::-1]):
+        raise ValueError("Donoho-Stark matrix must be centrosymmetric")
+    n = A.shape[0]
+    h = n // 2
+    a12j = A[:h, : n - h - 1 : -1]  # A12 J: columns n-1, ..., n-h
+    even = A[:h, :h] + a12j
+    odd = A[:h, :h] - a12j
+    if n % 2:
+        mid = math.sqrt(2.0) * A[:h, h : h + 1]
+        even = np.block([[even, mid], [mid.T, A[h:h + 1, h:h + 1]]])
+    return np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
 
 
 def donoho_stark_trace(R: float, n_quad: int) -> tuple[float, float]:

@@ -186,7 +186,7 @@ def cmd_tradeoff(args) -> int:
 def cmd_lowerbound(args) -> int:
     payload: dict = {"config": _config(args, ["d", "m", "r", "delta", "R", "n_quad"])}
     payload["radius_dimension_bound"] = radius_dimension_bound(args.d, args.m, args.r, args.delta)
-    if args.R:
+    if args.R is not None:
         trace, max_eig = donoho_stark_trace(args.R, args.n_quad)
         payload["donoho_stark"] = {
             "R": args.R,

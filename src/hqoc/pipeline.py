@@ -418,6 +418,8 @@ def run_sampling_scheme(
     Logical X gates are realized as physical position shifts by
     ``sqrt(2 pi / d) * 2^bit`` of the encoding mode, which permute the comb
     states; homodyne sampling plus post-processing yields the output bits.
+    Raises ``ResourceCapError`` before encoding if the grid's working set and
+    the shot arrays together would exceed ``mem_cap_mb``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -430,6 +432,11 @@ def run_sampling_scheme(
                 f"simulable logical gates are restricted to X (gate {i}); "
                 "general circuits are analyzed via blackbox recompilation only"
             )
+    # Peak of the shot arrays beside the state (``tracemalloc``), 8 B a shot
+    # for each of: while sampling, two cell-index arrays and 2m coordinate
+    # arrays; while decoding, m outcomes, m rounded indices and n' int64 bits.
+    shots_mb = 8 * (2 * m + max(2, layout.n_prime)) * shots / 1e6
+    check_mem_cap([encoding_grid(layout, delta)] * m, 0, mem_cap_mb, shots_mb=shots_mb)
     state = encode_basis_state((0,) * n, layout, delta, mem_cap_mb=mem_cap_mb)
     shift_gates = []
     for g in u_logical.gates:

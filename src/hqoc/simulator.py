@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,6 +123,12 @@ def _next_pow2(n: float) -> int:
     return 1 << max(1, math.ceil(math.log2(max(2.0, n)) - 1e-12))
 
 
+def _marginal(amps: np.ndarray, mode: int) -> np.ndarray:
+    """``|amps|^2`` summed over every axis but ``mode``."""
+    dens = np.abs(amps) ** 2
+    return dens.sum(axis=tuple(ax for ax in range(dens.ndim) if ax != mode))
+
+
 class HybridState:
     """Amplitudes of ``m`` modes and ``r`` qubits on per-mode grids."""
 
@@ -146,19 +153,15 @@ class HybridState:
 
     def position_density(self, mode: int = 0) -> np.ndarray:
         """Marginal |psi|^2 * dx per cell of one mode (sums to 1)."""
-        dens = np.abs(self.amps) ** 2
-        axes = tuple(ax for ax in range(dens.ndim) if ax != mode)
-        return dens.sum(axis=axes)
+        return _marginal(self.amps, mode)
 
     def momentum_amps(self, mode: int) -> np.ndarray:
         """Amplitudes in the momentum basis of one mode (FFT ordering)."""
         return np.fft.fft(self.amps, axis=mode, norm="ortho")
 
     def momentum_density(self, mode: int = 0) -> np.ndarray:
-        amps_p = self.momentum_amps(mode)
-        dens = np.abs(amps_p) ** 2
-        axes = tuple(ax for ax in range(dens.ndim) if ax != mode)
-        return dens.sum(axis=axes)
+        """Momentum marginal of one mode in FFT ordering (sums to 1); one FFT."""
+        return _marginal(self.momentum_amps(mode), mode)
 
     def boundary_mass(self) -> float:
         """Largest per-mode probability mass within ``EDGE_CELLS`` of a grid edge.
@@ -314,15 +317,33 @@ def apply_circuit(state: HybridState, c: Circuit, callback=None) -> HybridState:
 # -- observables -------------------------------------------------------------------
 
 
+class ModeMarginals(NamedTuple):
+    """One mode's grid coordinates and its two marginals (each sums to 1)."""
+
+    xs: np.ndarray
+    position: np.ndarray
+    momenta: np.ndarray  # FFT ordering
+    momentum: np.ndarray
+
+    @property
+    def energy(self) -> float:
+        """``<Q^2 + P^2>`` by position/Fourier quadrature."""
+        q2 = float(np.dot(self.position, self.xs ** 2))
+        p2 = float(np.dot(self.momentum, self.momenta ** 2))
+        return q2 + p2
+
+
+def mode_marginals(state: HybridState, mode: int) -> ModeMarginals:
+    """Coordinates and position/momentum marginals of one mode, from one FFT."""
+    grid = state.grids[mode]
+    return ModeMarginals(
+        grid.xs, state.position_density(mode), grid.momenta, state.momentum_density(mode)
+    )
+
+
 def energy_expectation(state: HybridState) -> tuple[list[float], float]:
     """Per-mode ``<Q^2 + P^2>`` by position/Fourier quadrature, and the max."""
-    energies = []
-    for a in range(state.m):
-        xs = state.grids[a].xs
-        q2 = float(np.dot(state.position_density(a), xs ** 2))
-        p = state.grids[a].momenta
-        p2 = float(np.dot(state.momentum_density(a), p ** 2))
-        energies.append(q2 + p2)
+    energies = [mode_marginals(state, a).energy for a in range(state.m)]
     return energies, max(energies) if energies else 0.0
 
 
@@ -467,15 +488,17 @@ def _snap_dx(c: Circuit, a: int, dx_fill: float, dx_band: float, n: int) -> floa
     return dx_fill
 
 
-def check_mem_cap(grids, r: int, mem_cap_mb: float) -> None:
+def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> None:
     """Raise ``ResourceCapError`` if a run's working set on the joint grid exceeds the cap.
 
-    The working set is ``WORKING_SET_COPIES`` amplitude arrays of 16 B a cell.
+    The working set is ``WORKING_SET_COPIES`` amplitude arrays of 16 B a cell,
+    plus ``shots_mb`` of a sampler's shot arrays held beside them.
     """
     mb = 2 ** r * math.prod(g.n_points for g in grids) * 16 / 1e6
-    if WORKING_SET_COPIES * mb > mem_cap_mb:
+    if WORKING_SET_COPIES * mb + shots_mb > mem_cap_mb:
+        shots = f" + {shots_mb:.0f} MB of shots" if shots_mb else ""
         raise ResourceCapError(
-            f"grid needs {WORKING_SET_COPIES} x {mb:.0f} MB > cap {mem_cap_mb:.0f} MB"
+            f"grid needs {WORKING_SET_COPIES} x {mb:.0f} MB{shots} > cap {mem_cap_mb:.0f} MB"
         )
 
 

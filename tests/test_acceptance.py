@@ -52,3 +52,33 @@ def test_random_circuit_criteria_details_match_choice_draws(number, monkeypatch)
     details = ALL_CRITERIA[number]().details
     monkeypatch.setattr(acceptance, "random_circuit", random_circuit_by_choice)
     assert ALL_CRITERIA[number]().details == details
+
+
+def test_criterion_5_runs_one_fft_per_checked_prefix(monkeypatch):
+    # FFTs made by the gates themselves (incommensurate shifts) are not counted
+    import hqoc.simulator as simulator
+
+    calls = {"fft": 0, "prefixes": 0, "in_gate": False}
+    fft, apply_inplace, apply_circuit = np.fft.fft, simulator._apply_inplace, acceptance.apply_circuit
+
+    def counting_fft(*args, **kwargs):
+        calls["fft"] += not calls["in_gate"]
+        return fft(*args, **kwargs)
+
+    def gate(state, g):
+        calls["in_gate"] = True
+        try:
+            apply_inplace(state, g)
+        finally:
+            calls["in_gate"] = False
+
+    def counting_apply_circuit(state, c, callback=None):
+        calls["prefixes"] += len(c.gates) + 1  # the vacuum is checked too
+        return apply_circuit(state, c, callback=callback)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    monkeypatch.setattr(simulator, "_apply_inplace", gate)
+    monkeypatch.setattr(acceptance, "apply_circuit", counting_apply_circuit)
+    assert acceptance.criterion_5().passed
+    assert calls["prefixes"] > 200
+    assert calls["fft"] == calls["prefixes"]

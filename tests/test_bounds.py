@@ -6,6 +6,7 @@ from scipy.special import erfinv
 
 from hqoc.bounds import (
     DiscreteDistribution,
+    DonohoStarkKernel,
     conditioned_on_interval,
     corollary_scalings,
     diam_delta,
@@ -156,6 +157,56 @@ def test_donoho_stark_validation():
         donoho_stark_trace(-1.0, 256)
     with pytest.raises(ValueError):
         donoho_stark_trace(1.0, 32)
+
+
+def outer_difference_kernel(R, n_quad):
+    """The kernel matrix built from the n x n table of grid differences (the direct build)."""
+    xs = np.linspace(-R, R, n_quad)
+    w = np.full(n_quad, xs[1] - xs[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    diff = xs[:, None] - xs[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.sin(2.0 * R * diff) / (math.pi * diff)
+    np.fill_diagonal(K, 2.0 * R / math.pi)
+    sw = np.sqrt(w)
+    A = sw[:, None] * K * sw[None, :]
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("n_quad", [64, 65, 127, 512, 1023])
+@pytest.mark.parametrize("R", [1.0, 2.0, 5.0])
+def test_donoho_stark_toeplitz_build_matches_outer_differences(R, n_quad):
+    A = donoho_stark_kernel(R, n_quad).matrix
+    oracle = outer_difference_kernel(R, n_quad)
+    assert np.abs(A - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert np.array_equal(np.diag(A), np.diag(oracle))
+    assert np.array_equal(A, A.T)
+    assert np.array_equal(A, A[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n_quad", [64, 65, 127, 512, 1023])
+@pytest.mark.parametrize("R", [1.0, 2.0, 5.0])
+def test_donoho_stark_parity_split_matches_full_spectrum(R, n_quad):
+    kern = donoho_stark_kernel(R, n_quad)
+    eigs = donoho_stark_eigs(kern)
+    assert eigs.shape == (n_quad,)
+    assert np.all(np.diff(eigs) >= 0)
+    assert np.abs(eigs - np.linalg.eigvalsh(kern.matrix)).max() <= 1e-14
+
+
+def test_donoho_stark_eigs_rejects_a_matrix_that_is_not_centrosymmetric():
+    kern = donoho_stark_kernel(1.0, 64)
+    matrix = kern.matrix.copy()
+    matrix[0, 1] = matrix[1, 0] = matrix[0, 1] * 1.5
+    with pytest.raises(ValueError, match="centrosymmetric"):
+        donoho_stark_eigs(DonohoStarkKernel(kern.R, kern.grid, kern.weights, matrix))
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0])
+def test_donoho_stark_rejects_non_finite_or_non_positive_R(R):
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        donoho_stark_kernel(R, 256)
 
 
 def test_momentum_marginal_of_squeezed_state():

@@ -125,6 +125,14 @@ def test_lowerbound(tmp_path):
     assert payload["donoho_stark"]["trace"] == pytest.approx(4 / math.pi, rel=0.005)
 
 
+@pytest.mark.parametrize("R", ["0", "nan", "inf"])
+def test_lowerbound_rejects_bad_R(R, tmp_path, capsys):
+    out = tmp_path / "lb.json"
+    assert main(["lowerbound", "--d", "4", "--R", R, "--out", str(out)]) == 1
+    assert "R must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--criteria", "11,12"]) == 0
     out = capsys.readouterr().out

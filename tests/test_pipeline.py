@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -359,3 +360,17 @@ def test_encode_basis_state_checks_mem_cap():
     layout = EncodingLayout(n=4, m=2)
     with pytest.raises(ResourceCapError, match="17 MB > cap 1 MB"):
         encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=1.0)
+
+
+def test_run_caps_shot_arrays_before_encoding():
+    # the 2^15-cell grid needs 4 x 0.5 MB; 10^6 shots add 32 MB of arrays, past a 20 MB cap
+    u = Circuit(0, 2, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="32 MB of shots > cap 20 MB"):
+            run_sampling_scheme(u, 2, 1, 0.05, 10**6, 0, mem_cap_mb=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # raised before the grid or any shot array was allocated
+    assert run_sampling_scheme(u, 2, 1, 0.05, 10**5, 0, mem_cap_mb=20).samples.shape == (10**5, 2)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hqoc.acceptance import random_circuit
 from hqoc.circuit import (
     Circuit,
     ctrl_disp_p,
@@ -32,6 +33,7 @@ from hqoc.simulator import (
     fidelity,
     homodyne_sample,
     inner_product,
+    mode_marginals,
     trace_distance,
     vacuum_state,
 )
@@ -471,3 +473,43 @@ def test_inner_product_conjugate_symmetry():
     a = apply_gate(v, disp_q(0, 0.3))
     b = apply_gate(v, disp_p(0, 0.2))
     assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
+
+
+def old_energy_expectation(state):
+    """Per-mode energy as two separate quadratures, each marginal computed on its own."""
+    energies = []
+    for a in range(state.m):
+        axes = tuple(ax for ax in range(state.amps.ndim) if ax != a)
+        pos = (np.abs(state.amps) ** 2).sum(axis=axes)
+        mom = (np.abs(np.fft.fft(state.amps, axis=a, norm="ortho")) ** 2).sum(axis=axes)
+        q2 = float(np.dot(pos, state.grids[a].xs ** 2))
+        p2 = float(np.dot(mom, state.grids[a].momenta ** 2))
+        energies.append(q2 + p2)
+    return energies
+
+
+def test_mode_marginals_energy_is_bit_identical_to_separate_quadratures():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c = random_circuit(rng)
+        seen = []
+
+        def record(i, st):
+            mg = mode_marginals(st, 0)
+            assert mg.energy == old_energy_expectation(st)[0]
+            assert np.array_equal(mg.xs, st.grids[0].xs)
+            assert np.array_equal(mg.momenta, st.grids[0].momenta)
+            assert np.array_equal(mg.position, st.position_density(0))
+            assert np.array_equal(mg.momentum, st.momentum_density(0))
+            seen.append(i)
+
+        apply_circuit(vacuum_state(1, 1, auto_grid(c, base_margin=0.3)), c, callback=record)
+        assert seen == list(range(1, len(c.gates) + 1))
+    # two modes: each mode's energy from its own marginals
+    grids = [centered_grid(256, 0.1), centered_grid(512, 0.05)]
+    st = apply_circuit(vacuum_state(2, 1, grids), Circuit(2, 1, (
+        disp_q(0, 0.7), squeeze(1, 1.5), ctrl_disp_p(1, 0, 0.3), qubit_gate("H", 0),
+    )))
+    energies, emax = energy_expectation(st)
+    assert energies == old_energy_expectation(st)
+    assert emax == max(energies)
