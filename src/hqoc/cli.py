@@ -133,12 +133,15 @@ def cmd_sample(args) -> int:
                 raise CircuitError("only logical X gates are simulable directly")
             gates.append(qubit_gate("X", int(q) - 1))
     u = Circuit(0, args.n, tuple(gates))
+    # counted with the shots: the CSV's uint8 rows (n digits and a newline a
+    # shot), their bytes and their str
     run = run_sampling_scheme(
-        u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args)
+        u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args),
+        held_bytes_per_shot=3 * (args.n + 1),
     )
-    # one row of ASCII digits per shot, each ended by a newline
-    rows = np.pad(run.samples + ord("0"), ((0, 0), (0, 1)), constant_values=ord("\n"))
-    _write(rows.astype(np.uint8).tobytes().decode("ascii"), args.out)
+    rows = np.full((args.shots, args.n + 1), ord("\n"), dtype=np.uint8)
+    np.add(run.samples, ord("0"), out=rows[:, :-1], casting="unsafe")
+    _write(rows.tobytes().decode("ascii"), args.out)
     if args.budget_out:
         _emit(
             {
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument(
         "--grid-points", type=int, dest="grid_points", metavar="N",
-        help="points per mode instead of the automatic count, centred on x = 0; "
+        help="points per mode instead of the automatic count, centred on x = 0: "
+        "N = m * 2^k with m in 1, 3, 5, 9, 15 and k >= 1 (e.g. 1024, 147456); "
         "the extent scales with N. --grid-points keeps the snapped dx, so shifts "
         "stay exact rolls",
     )

@@ -151,7 +151,7 @@ def comb_wavefunction(
     The default resolution requirement (8 samples per peak sigma) suits
     decoding and quadrature use.  ``auto_grid`` sizes simulation grids by the
     Nyquist band alone, so at the end of a preparation circuit they sample a
-    peak only a few times per sigma (3.92 for the ell=1, Delta=0.02 code prep
+    peak only a few times per sigma (2.20 for the ell=1, Delta=0.02 code prep
     at ``base_margin=0.3``); oracles compared against them lower
     ``samples_per_sigma`` (``code_prep_target`` passes 1), which is sound
     when the truncation edges are negligible (``delta << eps``).

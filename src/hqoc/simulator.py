@@ -2,7 +2,10 @@
 
 A :class:`HybridState` holds the complex amplitudes of ``m`` oscillator modes
 (position grids, one axis per mode) tensored with ``r`` qubits (trailing axes
-of size 2).  Amplitudes are stored so that ``sum |amps|^2 = 1``; the
+of size 2).  A mode's grid holds ``2^k`` points (``k >= 1``) times one odd
+factor of ``GRID_ODD_FACTORS = (1, 3, 5, 9, 15)``: even sizes that numpy's
+FFT splits into radices 2, 3 and 5, so :func:`auto_grid` can stop short of
+the next power of two.  Amplitudes are stored so that ``sum |amps|^2 = 1``; the
 wavefunction value at a cell is ``amp / sqrt(dx)``.
 
 Gate kernels:
@@ -50,6 +53,8 @@ BOUNDARY_MASS_TOL = 1e-8
 EDGE_CELLS = 2
 # Fewest points ``auto_grid`` gives a mode.
 MIN_GRID_POINTS = 256
+# Odd parts m of the grid sizes n = m 2^k (k >= 1).
+GRID_ODD_FACTORS = (1, 3, 5, 9, 15)
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
 # ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state,
@@ -57,9 +62,10 @@ MIN_GRID_POINTS = 256
 # forward or inverse transform, or a qubit gate's product), i.e. 3 copies; the
 # FFT plan, the O(sqrt n) phase tables and, outside the kernels, the float
 # temporaries of comb building (1.56 copies) and sampling come on top.
-# Measured ``tracemalloc`` peaks: 2.13 for vacuum plus ``apply_circuit`` of
-# the comb prep (n=8, Delta=0.02), 3.00 for ``run_sampling_scheme`` (n=2,
-# m=1, Delta=0.01; its uncontrolled shift's roll).  Rounded up to 4.
+# Measured ``tracemalloc`` peaks: 2.01 for vacuum plus ``apply_circuit`` of
+# the comb prep (n=8, Delta=0.02; 36,864 points), 3.00 for
+# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; its uncontrolled shift's
+# roll).  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -81,15 +87,22 @@ class ResourceCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform position grid: ``n_points`` cells at spacing ``dx`` from ``x0``."""
+    """Uniform position grid: ``n_points`` cells at spacing ``dx`` from ``x0``.
+
+    ``n_points`` is ``m 2^k`` with ``k >= 1`` and ``m`` in ``GRID_ODD_FACTORS``;
+    any other size raises ``GridError``.
+    """
 
     n_points: int
     dx: float
     x0: float
 
     def __post_init__(self):
-        if self.n_points < 2 or self.n_points & (self.n_points - 1):
-            raise GridError("n_points must be a power of two >= 2")
+        n = self.n_points
+        if n < 2 or n % 2 or n // (n & -n) not in GRID_ODD_FACTORS:
+            raise GridError(
+                f"n_points must be m * 2^k with m in {GRID_ODD_FACTORS} and k >= 1, got {n}"
+            )
         if not (math.isfinite(self.dx) and math.isfinite(self.x0)):
             raise GridError(f"grid geometry not finite: dx={self.dx}, x0={self.x0}")
         if not (self.dx > 0):
@@ -117,10 +130,6 @@ class GridSpec:
 def centered_grid(n_points: int, dx: float) -> GridSpec:
     """Grid whose cell ``n_points/2`` sits exactly at x = 0."""
     return GridSpec(n_points=n_points, dx=dx, x0=-(n_points // 2) * dx)
-
-
-def _next_pow2(n: float) -> int:
-    return 1 << max(1, math.ceil(math.log2(max(2.0, n)) - 1e-12))
 
 
 def _marginal(amps: np.ndarray, mode: int) -> np.ndarray:
@@ -177,20 +186,29 @@ class HybridState:
 
 
 def vacuum_state(m: int, r: int, grids) -> HybridState:
-    """Product of vacuum Gaussians, qubits at |0...0>."""
+    """Product of vacuum Gaussians, qubits at |0...0>.
+
+    Each Gaussian is evaluated only on the cells where it is nonzero in double
+    precision (``|x| <= sqrt(2 * 746)``, below which ``exp`` underflows to 0),
+    and the product is written into the |0...0> branch of one zeroed array.
+    """
     grids = tuple(grids)
     if len(grids) != m:
         raise GridError(f"need {m} grids, got {len(grids)}")
-    amps = np.ones((), dtype=complex)
+    reach = math.sqrt(2 * 746.0)
+    support, block = [], np.ones((), dtype=complex)
     for g in grids:
-        psi = np.exp(-g.xs ** 2 / 2.0).astype(complex)
+        xs = g.xs
+        lo, hi = np.searchsorted(xs, (-reach, reach))
+        psi = np.exp(-xs[lo:hi] ** 2 / 2.0).astype(complex)
+        if not psi.size:
+            raise GridError("grid too small to hold the vacuum state")
         psi /= np.linalg.norm(psi)
-        amps = np.multiply.outer(amps, psi)
-    if r:
-        qubits = np.zeros((2,) * r, dtype=complex)
-        qubits[(0,) * r] = 1.0
-        amps = np.multiply.outer(amps, qubits)
-    state = HybridState(m, r, grids, amps.reshape(tuple(g.n_points for g in grids) + (2,) * r))
+        support.append(slice(lo, hi))
+        block = np.multiply.outer(block, psi)
+    amps = np.zeros(tuple(g.n_points for g in grids) + (2,) * r, dtype=complex)
+    amps[tuple(support) + (0,) * r] = block
+    state = HybridState(m, r, grids, amps)
     if state.boundary_mass() > BOUNDARY_MASS_TOL:
         raise GridError("grid too small to hold the vacuum state")
     return state
@@ -207,14 +225,16 @@ def _apply_qubit_matrix(amps: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]
 
 
 def _linear_phase(v0: float, step: float, n: int, fft_order: bool = False) -> np.ndarray:
-    """``exp(i (v0 + step k))`` for the cells k of a power-of-two grid of ``n``.
+    """``exp(i (v0 + step k))`` for the cells k of a grid of ``n = m 2^k`` points.
 
     The outer product ``hi[a] lo[j]`` of two ~sqrt(n) ``exp`` tables, with
-    ``k = a b + j``: 2 sqrt(n) complex exponentials instead of n.  With
-    ``fft_order`` k runs over the FFT ordering (0, ..., n/2 - 1, -n/2, ..., -1)
-    of :attr:`GridSpec.momenta`, which only reorders the rows of ``hi``.
+    ``k = a b + j``: 2 sqrt(n) complex exponentials instead of n.  ``b`` is the
+    largest power of two that is at most sqrt(n) and divides ``n / 2``, so the
+    ``n / b`` rows split evenly in half.  With ``fft_order`` k runs over the FFT
+    ordering (0, ..., n/2 - 1, -n/2, ..., -1) of :attr:`GridSpec.momenta`,
+    which only reorders the rows of ``hi``.
     """
-    b = 1 << ((n.bit_length() - 1) // 2)
+    b = 1 << min((n.bit_length() - 1) // 2, (n & -n).bit_length() - 2)
     rows = np.arange(n // b)
     if fft_order:
         rows[len(rows) // 2 :] -= len(rows)
@@ -413,20 +433,24 @@ def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0)
     Starting from the vacuum's effective window (radius covering all but
     1e-12 of the mass), the exact generator maps are composed through every
     prefix.  The band ``dx`` keeps the largest momentum window inside the
-    Nyquist band ``[-pi/dx, pi/dx]``; ``n`` is the power of two whose extent
-    at that ``dx`` covers the largest position window, both widened by
-    ``1 + base_margin``; the fill ``dx`` shrinks the band ``dx`` until ``n``
-    cells land exactly on that extent.  Returned grids refer to t=0:
-    squeezers rescale ``dx`` during simulation, and the per-prefix squeeze
-    factors here account for that.
+    Nyquist band ``[-pi/dx, pi/dx]``; ``n_req`` band cells cover the largest
+    position window, both widened by ``1 + base_margin``.  A grid of ``n``
+    points then has the fill ``dx``, the band ``dx`` shrunk until ``n`` cells
+    land exactly on that extent.  Returned grids refer to t=0: squeezers
+    rescale ``dx`` during simulation, and the per-prefix squeeze factors here
+    account for that.
 
-    Snap rule: ``dx`` is then raised to the smallest value in ``[fill, band]``
-    on which every position shift of the mode is a whole number of cells, so
-    each shift runs as an exact roll.  ``n`` is not chosen again: it and the
-    memory never grow, the extent still covers every position window, and
-    ``dx <= band`` keeps every momentum window inside the Nyquist band.
-    Without such a ``dx`` (incommensurate shifts, a lone shift of less than
-    one cell) the grid is the fill grid.
+    Size and snap rule: the candidate sizes are, for each odd factor ``m`` in
+    ``GRID_ODD_FACTORS``, the smallest ``m 2^k >= max(MIN_GRID_POINTS, n_req)``,
+    up to the power of two among them (just ``MIN_GRID_POINTS`` when
+    ``n_req`` is no more).  ``n`` is the smallest candidate on which some
+    ``dx`` in ``[fill, band]`` makes every position shift of the mode a whole
+    number of cells, so each shift runs as an exact roll; ``dx`` is the
+    smallest such value.  The extent still covers every position window,
+    ``dx <= band`` keeps every momentum window inside the Nyquist band, and
+    no grid is larger than the power of two.  Where no candidate has such a
+    ``dx`` (incommensurate shifts, a lone shift of less than one cell) the
+    grid is the smallest candidate's fill grid.
     """
     r0 = VACUUM_TAIL_RADIUS
     init: Window = (-r0, r0, -r0, r0)
@@ -449,22 +473,28 @@ def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0)
             2.0 * max(abs(w[a][0]), abs(w[a][1])) * (1.0 + base_margin) / (dx0 * s)
             for w, s in zip(traj, scales)
         )
-        n = max(MIN_GRID_POINTS, _next_pow2(n_req))
-        # shrink dx to land the extent exactly on the target (margins intact),
-        # then snap it up towards the band so that every shift is a roll
-        specs.append(centered_grid(n, _snap_dx(c, a, dx0 * n_req / n, dx0, n)))
+        specs.append(_snap_grid(c, a, dx0, n_req))
 
     check_mem_cap(specs, c.r, mem_cap_mb)
     return specs
 
 
-def _snap_dx(c: Circuit, a: int, dx_fill: float, dx_band: float, n: int) -> float:
-    """Smallest ``dx`` in ``[dx_fill, dx_band]`` on which every position shift
-    of mode ``a`` is a roll, else ``dx_fill``.
+def _grid_sizes(n_req: float) -> list[int]:
+    """Candidate sizes ``m 2^k`` of ``auto_grid``, ascending (see its size rule)."""
+    if n_req <= MIN_GRID_POINTS:
+        return [MIN_GRID_POINTS]
+    sizes = [m << max(1, math.ceil(math.log2(n_req / m) - 1e-12)) for m in GRID_ODD_FACTORS]
+    return sorted(n for n in sizes if n <= sizes[0])  # sizes[0]: m = 1, the power of two
 
-    Each candidate puts ``k`` cells on the shortest shift and is checked with
-    the kernel's own float products ``dx * alpha`` through the squeezers.
+
+def _snap_grid(c: Circuit, a: int, dx_band: float, n_req: float) -> GridSpec:
+    """Grid of mode ``a`` by ``auto_grid``'s size and snap rule.
+
+    For each candidate size ``n`` the fill ``dx`` is ``dx_band n_req / n``.
+    Each trial ``dx`` puts ``k`` cells on the shortest shift and is checked
+    with the kernel's own float products ``dx * alpha`` through the squeezers.
     """
+    sizes = _grid_sizes(n_req)
     track = [g for g in c.gates
              if g.mode == a and (g.kind == "squeeze" or KINDS[g.kind].shifts == "x")]
 
@@ -476,16 +506,17 @@ def _snap_dx(c: Circuit, a: int, dx_fill: float, dx_band: float, n: int) -> floa
                 yield g.t, dx
 
     lengths = [abs(t / d) for t, d in shifts(1.0) if t]  # in t=0 units
-    if not lengths:
-        return dx_fill
-    r = min(lengths)
-    for k in range(math.floor(r / dx_fill), math.ceil(r / dx_band) - 1, -1):
-        dx = r / k
-        if dx_fill <= dx <= dx_band and all(
-            _whole_cells(t, d, n) is not None for t, d in shifts(dx)
-        ):
-            return dx
-    return dx_fill
+    if lengths:
+        r = min(lengths)
+        for n in sizes:
+            dx_fill = dx_band * n_req / n
+            for k in range(math.floor(r / dx_fill), math.ceil(r / dx_band) - 1, -1):
+                dx = r / k
+                if dx_fill <= dx <= dx_band and all(
+                    _whole_cells(t, d, n) is not None for t, d in shifts(dx)
+                ):
+                    return centered_grid(n, dx)
+    return centered_grid(sizes[0], dx_band * n_req / sizes[0])
 
 
 def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> None:

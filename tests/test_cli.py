@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -172,7 +173,7 @@ def test_sample_logical_gate_at_ell_3(tmp_path):
     assert report["energy_upper_bound"] is None  # overflowed: the log2 field carries it
 
 
-@pytest.mark.parametrize("n_points", [128, 1024])
+@pytest.mark.parametrize("n_points", [128, 1024, 147456])
 def test_simulate_grid_points_recentres_and_holds_dx(circuit_file, tmp_path, n_points):
     # the automatic grid here has 256 points; the wide margin lets half of them hold the state
     auto, forced = tmp_path / "auto.json", tmp_path / "forced.json"
@@ -187,6 +188,28 @@ def test_simulate_grid_points_recentres_and_holds_dx(circuit_file, tmp_path, n_p
     assert grid["x0"] == pytest.approx(-(n_points // 2) * grid["dx"], rel=1e-12)
     assert f["norm"] == pytest.approx(1.0, abs=1e-9)
     assert f["energy_max"] == pytest.approx(a["energy_max"], rel=1e-9)
+
+
+def test_simulate_grid_points_refuses_sizes_outside_the_rule(circuit_file, capsys):
+    assert main(["simulate", str(circuit_file), "--grid-points", "1000"]) == 1
+    assert "n_points must be m * 2^k with m in (1, 3, 5, 9, 15) and k >= 1, got 1000" in (
+        capsys.readouterr().err
+    )
+
+
+def test_sample_counts_its_csv_against_mem_cap(tmp_path, capsys):
+    # 10^6 shots: 32 MB of shot arrays and 9 MB of CSV text (uint8 rows, bytes, str)
+    args = ["sample", "--n", "2", "--m", "1", "--delta", "0.05", "--shots", "1000000",
+            "--out", str(tmp_path / "s.csv")]
+    assert main(args + ["--mem-cap-mb", "40"]) == 2
+    assert "41 MB of shots > cap 40 MB" in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        assert main(args + ["--mem-cap-mb", "44"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44e6
 
 
 def test_sample_mem_cap_exit_code(monkeypatch):

@@ -15,6 +15,7 @@ from hqoc.circuit import (
 )
 from hqoc.moments import circuit_window_trajectory
 from hqoc.simulator import (
+    GRID_ODD_FACTORS,
     VACUUM_TAIL_RADIUS,
     WORKING_SET_COPIES,
     GridError,
@@ -65,6 +66,33 @@ def test_vacuum_moments():
 def test_vacuum_rejects_tiny_grid():
     with pytest.raises(GridError):
         vacuum_state(1, 0, [centered_grid(16, 0.1)])
+    with pytest.raises(GridError):  # the Gaussian underflows to 0 on every cell
+        vacuum_state(1, 0, [GridSpec(256, 0.1, 100.0)])
+
+
+def _full_grid_vacuum(grids, r):
+    """Vacuum amplitudes built on every cell: one ``exp`` per cell, outer products."""
+    amps = np.ones((), dtype=complex)
+    for g in grids:
+        psi = np.exp(-g.xs ** 2 / 2.0).astype(complex)
+        psi /= np.linalg.norm(psi)
+        amps = np.multiply.outer(amps, psi)
+    if r:
+        qubits = np.zeros((2,) * r, dtype=complex)
+        qubits[(0,) * r] = 1.0
+        amps = np.multiply.outer(amps, qubits)
+    return amps
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_vacuum_matches_full_grid_expression(m, r):
+    # the first grid reaches |x| = 61 > sqrt(2 * 746), where exp underflows to 0
+    grids = [centered_grid(1280, 0.096), centered_grid(768, 0.05)][:m]
+    amps = vacuum_state(m, r, grids).amps
+    ref = _full_grid_vacuum(grids, r)
+    assert amps.shape == ref.shape
+    assert np.all(np.abs(amps - ref) <= np.spacing(np.abs(ref)))
 
 
 def test_displacement_shifts_mean():
@@ -255,8 +283,8 @@ def _shift_cells(c, grid):
 def test_prep_shifts_are_exact_rolls(monkeypatch):
     from hqoc.pipeline import build_code_prep, build_prep_circuit
 
-    circuits = [(build_code_prep(1, 0.02), 2 ** 18), (build_prep_circuit(8, 0.02), 2 ** 16),
-                (build_code_prep(2, 0.01), 2 ** 19)]
+    circuits = [(build_code_prep(1, 0.02), 9 * 2 ** 14), (build_prep_circuit(8, 0.02), 9 * 2 ** 12),
+                (build_code_prep(2, 0.01), 9 * 2 ** 15)]
     grids = []
     for c, n in circuits:
         g = auto_grid(c, base_margin=0.3)[0]
@@ -265,7 +293,7 @@ def test_prep_shifts_are_exact_rolls(monkeypatch):
         assert len(cells) > 1
         assert all(abs(k - round(k)) < 1e-9 for k in cells), cells
         grids.append(g)
-    assert auto_grid(circuits[2][0])[0].n_points == 2 ** 19  # default margin too
+    assert auto_grid(circuits[2][0])[0].n_points == 9 * 2 ** 15  # default margin too
 
     def no_fft(*args, **kwargs):
         raise AssertionError("a position shift ran through the FFT")
@@ -276,8 +304,8 @@ def test_prep_shifts_are_exact_rolls(monkeypatch):
         assert apply_circuit(vacuum_state(1, 1, [g]), c).norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def _fill_grid(c, base_margin):
-    """The grid before snapping: the Nyquist ``dx`` shrunk to fill ``n`` cells."""
+def _required(c, base_margin):
+    """Band ``dx`` of mode 0 and the points ``n_req`` that cover its windows at it."""
     r0 = VACUUM_TAIL_RADIUS
     traj = circuit_window_trajectory(c, (-r0, r0, -r0, r0))
     scales = [1.0]
@@ -286,7 +314,23 @@ def _fill_grid(c, base_margin):
     grow = 1.0 + base_margin
     dx0 = min(math.pi / (grow * max(abs(w[0][2]), abs(w[0][3])) * s) for w, s in zip(traj, scales))
     n_req = max(2 * grow * max(abs(w[0][0]), abs(w[0][1])) / (dx0 * s) for w, s in zip(traj, scales))
-    n = max(256, 1 << math.ceil(math.log2(n_req)))
+    return dx0, n_req
+
+
+def _allowed_sizes(lo, hi):
+    """Every grid size m 2^k (k >= 1, m in 1, 3, 5, 9, 15) in ``[lo, hi]``, ascending."""
+    return sorted(m << k for m in (1, 3, 5, 9, 15) for k in range(1, 40) if lo <= m << k <= hi)
+
+
+def _old_pow2(n_req):
+    """The size before odd factors: the power of two >= max(256, n_req)."""
+    return max(256, 1 << math.ceil(math.log2(n_req)))
+
+
+def _fill_grid(c, base_margin):
+    """The grid without a snap: the smallest size >= max(256, n_req), the band dx shrunk to fill it."""
+    dx0, n_req = _required(c, base_margin)
+    n = _allowed_sizes(max(256, n_req), math.inf)[0]
     return centered_grid(n, dx0 * n_req / n)
 
 
@@ -295,10 +339,40 @@ def test_auto_grid_keeps_fill_grid_without_commensurate_dx():
 
     lone = Circuit(1, 0, (disp_p(0, 1e-3),))  # less than one cell
     rand = random_circuit(np.random.default_rng(0))  # five incommensurate shifts
+    wide = Circuit(1, 0, (disp_p(0, 60.0), disp_p(0, -math.e)))  # n_req ~ 357: 384, not 512
     assert len(_shift_cells(rand, auto_grid(rand)[0])) == 5
-    for c in (lone, rand):
+    for c in (lone, rand, wide):
         for margin in (0.25, 0.3):
             assert auto_grid(c, base_margin=margin) == [_fill_grid(c, margin)]
+    assert auto_grid(wide, base_margin=0.3)[0].n_points == 384 < _old_pow2(_required(wide, 0.3)[1])
+
+
+def _rolls_on(c, n, dx_lo, dx_hi):
+    """Whether some ``dx`` in ``[dx_lo, dx_hi]`` puts every position shift of mode 0 on whole cells."""
+    lengths = [abs(k) for k in _shift_cells(c, centered_grid(n, 1.0)) if k]  # in t=0 units
+    r = min(lengths)
+    for k in range(math.ceil(r / dx_hi), math.floor(r / dx_lo) + 1):
+        if dx_lo <= r / k <= dx_hi and all(
+            abs(v - round(v)) < 1e-9 for v in _shift_cells(c, centered_grid(n, r / k))
+        ):
+            return True
+    return False
+
+
+def test_prep_grids_take_the_smallest_size_that_snaps():
+    from hqoc.pipeline import build_code_prep, build_prep_circuit
+
+    for c in (build_code_prep(1, 0.02), build_prep_circuit(8, 0.02), build_code_prep(3, 0.01),
+              build_prep_circuit(3, 0.04)):
+        for margin in (0.25, 0.3):
+            dx0, n_req = _required(c, margin)
+            top = _old_pow2(n_req)
+            sizes = _allowed_sizes(max(256, n_req), top)
+            snapping = [n for n in sizes if _rolls_on(c, n, dx0 * n_req / n, dx0)]
+            g = auto_grid(c, base_margin=margin)[0]
+            assert g.n_points == snapping[0] < top
+            assert dx0 * n_req / g.n_points <= g.dx <= dx0
+            assert all(abs(k - round(k)) < 1e-9 for k in _shift_cells(c, g))
 
 
 def test_position_windows_hold_support_tightly():
@@ -385,7 +459,10 @@ def test_overflow_mid_circuit_leaves_input():
     assert _bits(v) == before
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 256, 2 ** 15, 2 ** 19])
+@pytest.mark.parametrize(
+    "n", [2, 4, 6, 8, 10, 18, 30, 256, 2 ** 15, 2 ** 19, 9 * 2 ** 14]
+    + [m * 2 ** 8 for m in GRID_ODD_FACTORS[1:]],
+)
 def test_linear_phase_matches_exp(n):
     for v0, step in ((0.0, 0.1), (-3.7, 1e-3), (12.0, -0.77)):
         theta = v0 + step * np.arange(n)
@@ -395,11 +472,18 @@ def test_linear_phase_matches_exp(n):
 
 @pytest.mark.parametrize("log2_n", [1, 2, 9, 10, 15, 16])
 def test_momentum_phase_matches_exp(log2_n):
-    grid = centered_grid(2 ** log2_n, 0.013)
-    for t in (0.3, -2.17, 37.1):
-        theta = -t * grid.momenta
-        err = np.abs(_momentum_phase(grid, t) - np.exp(1j * theta)).max()
-        assert err <= 1e-15 * (8 + np.abs(theta).max())
+    for m in GRID_ODD_FACTORS:
+        grid = centered_grid(m * 2 ** log2_n, 0.013)
+        for t in (0.3, -2.17, 37.1):
+            theta = -t * grid.momenta
+            err = np.abs(_momentum_phase(grid, t) - np.exp(1j * theta)).max()
+            assert err <= 1e-15 * (8 + np.abs(theta).max())
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 15, 25 * 2 ** 4, 7 * 2 ** 8, 1000])
+def test_grid_spec_rejects_sizes_outside_the_rule(n):
+    with pytest.raises(GridError, match=r"m \* 2\^k with m in \(1, 3, 5, 9, 15\)"):
+        GridSpec(n, 0.1, 0.0)
 
 
 def test_fractional_shift_matches_fft_reference():
