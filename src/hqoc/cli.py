@@ -133,12 +133,10 @@ def cmd_sample(args) -> int:
                 raise CircuitError("only logical X gates are simulable directly")
             gates.append(qubit_gate("X", int(q) - 1))
     u = Circuit(0, args.n, tuple(gates))
-    # counted with the shots: the CSV's uint8 rows (n digits and a newline a
-    # shot), their bytes and their str
     run = run_sampling_scheme(
-        u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args),
-        held_bytes_per_shot=3 * (args.n + 1),
+        u, args.n, args.m, args.delta, args.shots, args.seed, mem_cap_mb=_mem_cap(args)
     )
+    # one uint8 row per shot: n ASCII digits and a newline
     rows = np.full((args.shots, args.n + 1), ord("\n"), dtype=np.uint8)
     np.add(run.samples, ord("0"), out=rows[:, :-1], casting="unsafe")
     _write(rows.tobytes().decode("ascii"), args.out)

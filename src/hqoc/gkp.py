@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import ceil_log2
-from .simulator import GridError, GridSpec, HybridState, centered_grid
+from .simulator import EXP_UNDERFLOW_REACH, GridError, GridSpec, HybridState, centered_grid
 
 # Default resolution of a comb state: samples per peak sigma.
 SAMPLES_PER_SIGMA = 8
@@ -194,13 +194,12 @@ def _truncated_peaks(
 def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> HybridState:
     """``|Sha_{L,Delta}>``: full (untruncated) Gaussians at L integer centers.
 
-    Each Gaussian is evaluated only on the cells where it is nonzero in double
-    precision (exponent >= -746, below which ``exp`` underflows to 0); the
-    peaks are still added in order, so the result equals the full-grid sum
-    bit for bit.
+    Each Gaussian is evaluated only within ``EXP_UNDERFLOW_REACH`` widths of
+    its centre; the peaks are still added in order, so the result equals the
+    full-grid sum bit for bit.
     """
     xs = grid.xs
-    reach = delta * math.sqrt(2 * 746.0)
+    reach = delta * EXP_UNDERFLOW_REACH
     psi = np.zeros(grid.n_points)
     for z in range(-L // 2, L // 2):
         lo, hi = np.searchsorted(xs, (z - reach, z + reach))

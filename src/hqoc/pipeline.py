@@ -411,7 +411,7 @@ def logical_x_shift(layout: EncodingLayout, q: int) -> float:
 
 def run_sampling_scheme(
     u_logical: Circuit, n: int, m: int, delta: float, shots: int, seed: int,
-    mem_cap_mb: float = 1024.0, held_bytes_per_shot: int = 0,
+    mem_cap_mb: float = 1024.0,
 ) -> SamplingRun:
     """End-to-end run for logical circuits of identity/X gates (desk scale).
 
@@ -419,9 +419,7 @@ def run_sampling_scheme(
     ``sqrt(2 pi / d) * 2^bit`` of the encoding mode, which permute the comb
     states; homodyne sampling plus post-processing yields the output bits.
     Raises ``ResourceCapError`` before encoding if the grid's working set and
-    the shot arrays together would exceed ``mem_cap_mb``; the shot arrays
-    include ``held_bytes_per_shot`` that the caller builds from the samples
-    (``hqoc sample``: its CSV text).
+    the shot arrays together would exceed ``mem_cap_mb``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -437,7 +435,11 @@ def run_sampling_scheme(
     # Peak of the shot arrays beside the state (``tracemalloc``), 8 B a shot
     # for each of: while sampling, two cell-index arrays and 2m coordinate
     # arrays; while decoding, m outcomes, m rounded indices and n' int64 bits.
-    shots_mb = (8 * (2 * m + max(2, layout.n_prime)) + held_bytes_per_shot) * shots / 1e6
+    # After the run, the returned bits (a view of the n' columns) and their
+    # text (``hqoc sample``: uint8 rows, bytes and str of n digits and a
+    # newline) may outgrow that.
+    per_shot = max(8 * (2 * m + max(2, layout.n_prime)), 8 * layout.n_prime + 3 * (n + 1))
+    shots_mb = per_shot * shots / 1e6
     check_mem_cap([encoding_grid(layout, delta)] * m, 0, mem_cap_mb, shots_mb=shots_mb)
     state = encode_basis_state((0,) * n, layout, delta, mem_cap_mb=mem_cap_mb)
     shift_gates = []

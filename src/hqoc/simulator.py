@@ -51,6 +51,9 @@ VACUUM_TAIL_RADIUS = 5.1
 BOUNDARY_MASS_TOL = 1e-8
 # Cells at each grid edge that the overflow guard reads.
 EDGE_CELLS = 2
+# |u| past which ``exp(-u^2 / 2)`` underflows to 0 in double precision
+# (exponent below -746): Gaussians are evaluated only within this reach.
+EXP_UNDERFLOW_REACH = math.sqrt(2 * 746.0)
 # Fewest points ``auto_grid`` gives a mode.
 MIN_GRID_POINTS = 256
 # Odd parts m of the grid sizes n = m 2^k (k >= 1).
@@ -188,22 +191,22 @@ class HybridState:
 def vacuum_state(m: int, r: int, grids) -> HybridState:
     """Product of vacuum Gaussians, qubits at |0...0>.
 
-    Each Gaussian is evaluated only on the cells where it is nonzero in double
-    precision (``|x| <= sqrt(2 * 746)``, below which ``exp`` underflows to 0),
-    and the product is written into the |0...0> branch of one zeroed array.
+    Each Gaussian is evaluated only on the cells with
+    ``|x| <= EXP_UNDERFLOW_REACH``, and the product is written into the
+    |0...0> branch of one zeroed array.
     """
     grids = tuple(grids)
     if len(grids) != m:
         raise GridError(f"need {m} grids, got {len(grids)}")
-    reach = math.sqrt(2 * 746.0)
     support, block = [], np.ones((), dtype=complex)
     for g in grids:
         xs = g.xs
-        lo, hi = np.searchsorted(xs, (-reach, reach))
+        lo, hi = np.searchsorted(xs, (-EXP_UNDERFLOW_REACH, EXP_UNDERFLOW_REACH))
         psi = np.exp(-xs[lo:hi] ** 2 / 2.0).astype(complex)
-        if not psi.size:
+        nrm = np.linalg.norm(psi)
+        if nrm == 0:
             raise GridError("grid too small to hold the vacuum state")
-        psi /= np.linalg.norm(psi)
+        psi /= nrm
         support.append(slice(lo, hi))
         block = np.multiply.outer(block, psi)
     amps = np.zeros(tuple(g.n_points for g in grids) + (2,) * r, dtype=complex)

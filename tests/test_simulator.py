@@ -68,6 +68,8 @@ def test_vacuum_rejects_tiny_grid():
         vacuum_state(1, 0, [centered_grid(16, 0.1)])
     with pytest.raises(GridError):  # the Gaussian underflows to 0 on every cell
         vacuum_state(1, 0, [GridSpec(256, 0.1, 100.0)])
+    with pytest.raises(GridError):  # cells inside the reach where exp is still 0
+        vacuum_state(1, 0, [GridSpec(2, 0.01, 38.61)])
 
 
 def _full_grid_vacuum(grids, r):
