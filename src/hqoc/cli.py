@@ -28,8 +28,9 @@ from .circuit import Circuit, CircuitError, parse_circuit, qubit_gate, serialize
 from .moments import AnalysisError, analysis_report, substitute_bounded_strength
 from .pipeline import build_code_prep, build_prep_circuit, run_sampling_scheme
 from .simulator import (
-    WORKING_SET_COPIES, GridError, ResourceCapError, apply_circuit, auto_grid, centered_grid,
-    check_mem_cap, energy_expectation, state_dump, vacuum_state,
+    DEFAULT_MEM_CAP_MB, GRID_ODD_FACTORS, WORKING_SET_COPIES, GridError, ResourceCapError,
+    apply_circuit, auto_grid, centered_grid, check_mem_cap, energy_expectation, state_dump,
+    vacuum_state,
 )
 from .tradeoff import (
     implementation_energy_bound,
@@ -38,18 +39,21 @@ from .tradeoff import (
     sampling_error_bound,
 )
 
-DEFAULT_MEM_CAP_MB = 1024.0
 MEM_CAP_HELP = (
     f"memory cap in MB for the run's working set, {WORKING_SET_COPIES}x the state"
-    " (default: $HQOC_MEM_CAP_MB, else 1024)"
+    f" (default: $HQOC_MEM_CAP_MB, else {DEFAULT_MEM_CAP_MB:g})"
 )
 
 
 def _mem_cap(args) -> float:
-    if getattr(args, "mem_cap_mb", None):
-        return float(args.mem_cap_mb)
-    env = os.environ.get("HQOC_MEM_CAP_MB")
-    return float(env) if env else DEFAULT_MEM_CAP_MB
+    """``--mem-cap-mb``, else ``$HQOC_MEM_CAP_MB``, else the default; finite and > 0."""
+    raw, name = getattr(args, "mem_cap_mb", None), "--mem-cap-mb"
+    if raw is None:
+        raw, name = os.environ.get("HQOC_MEM_CAP_MB") or DEFAULT_MEM_CAP_MB, "HQOC_MEM_CAP_MB"
+    cap = float(raw)
+    if not (math.isfinite(cap) and cap > 0):
+        raise ValueError(f"{name} must be a finite number of MB > 0, got {raw}")
+    return cap
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -239,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid-points", type=int, dest="grid_points", metavar="N",
         help="points per mode instead of the automatic count, centred on x = 0: "
-        "N = m * 2^k with m in 1, 3, 5, 9, 15 and k >= 1 (e.g. 1024, 147456); "
+        f"N = m * 2^k with m in {', '.join(map(str, GRID_ODD_FACTORS))} and k >= 1"
+        " (e.g. 1024, 147456); "
         "the extent scales with N. --grid-points keeps the snapped dx, so shifts "
         "stay exact rolls",
     )

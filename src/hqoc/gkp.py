@@ -2,15 +2,17 @@
 
 The base comb ``|Sha^eps_{L,Delta}>`` is ``1/sqrt(L)`` times a sum of ``L``
 truncated, individually normalized Gaussians of width ``Delta`` centered at
-the integers ``-L/2 .. L/2-1`` (truncation at ``|x| <= eps``).  The code
-state of logical index ``j`` in dimension ``d`` is
+the integers ``z = -L/2 .. L/2-1``, each cut to the open interval
+``|x - z| < eps``; the float rounding of ``x - z`` decides whether a cell
+centre exactly on an edge is kept.  The code state of logical index ``j`` in
+dimension ``d`` is
 
     ``|Sha^eps_{L,Delta}(j)_d> = e^{-i sqrt(2 pi / d) j P} M_{sqrt(2 pi d)} |Sha^eps_{L,Delta}>``
 
 so its peaks sit at ``sqrt(2 pi d) z + sqrt(2 pi / d) j`` with Gaussian width
 ``sqrt(2 pi d) Delta`` and half-support ``sqrt(2 pi d) eps``.  For the
 canonical truncation ``eps = 1/(2d)``, states of distinct ``j`` have disjoint
-supports and form an orthonormal family.
+(open) supports and form an orthonormal family.
 
 States are constructed analytically (sampled closed form, renormalized on the
 grid), which makes them an oracle independent of the preparation circuits.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import ceil_log2
-from .simulator import EXP_UNDERFLOW_REACH, GridError, GridSpec, HybridState, centered_grid
+from .simulator import EXP_UNDERFLOW_REACH, GridError, GridSpec, HybridState, centered_grid, grid_sizes
 
 # Default resolution of a comb state: samples per peak sigma.
 SAMPLES_PER_SIGMA = 8
@@ -126,7 +128,11 @@ def comb_family(delta: float, d: int) -> list[HybridState]:
 
 
 def support_set(spec: CombStateSpec) -> list[tuple[float, float]]:
-    """The L closed support intervals (pairwise disjoint across distinct j)."""
+    """The L support intervals ``[c - h, c + h]``, closed; the comb keeps their open interiors.
+
+    At ``eps = 1/(2d)`` the closed intervals of neighbouring j touch at their
+    ends; only the open interiors are disjoint across distinct j.
+    """
     h = spec.half_support
     return [(c - h, c + h) for c in spec.peak_centers]
 
@@ -213,19 +219,18 @@ def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> Hybri
 
 
 def default_comb_grid(spec: CombStateSpec) -> GridSpec:
-    """Dyadic grid with peak centers exactly on cell centers.
+    """Centred grid with peak centers exactly on cell centers.
 
     ``dx = sqrt(2 pi / d) / 2^k`` with k minimal such that the peak Gaussian
-    is sampled at least ``SAMPLES_PER_SIGMA`` times per sigma; the extent
-    reaches ``PAD_SIGMAS`` peak sigmas past the outermost support.
+    is sampled at least ``SAMPLES_PER_SIGMA`` times per sigma; the size is the
+    first of ``grid_sizes`` past ``PAD_SIGMAS`` peak sigmas beyond the support.
     """
     fine = math.sqrt(2 * math.pi / spec.params.d)
     k = max(0, ceil_log2(SAMPLES_PER_SIGMA * fine / spec.peak_sigma))
     dx = fine / 2 ** k
     top = spec.scale * (spec.params.L // 2) + spec.scale  # covers shifts for all j < d
     reach = top + spec.half_support + PAD_SIGMAS * spec.peak_sigma
-    n = 1 << max(8, math.ceil(math.log2(2.0 * reach / dx)))
-    return centered_grid(n, dx)
+    return centered_grid(grid_sizes(2.0 * reach / dx)[0], dx)
 
 
 def overlap_check(delta: float, eps: float, L: int) -> tuple[float, float]:
@@ -236,8 +241,7 @@ def overlap_check(delta: float, eps: float, L: int) -> tuple[float, float]:
         raise ValueError("delta must lie in (0, 1/4)")
     dx = delta / 16.0
     reach = L / 2 + 1.0 + 12.0 * delta
-    n = 1 << math.ceil(math.log2(2 * reach / dx))
-    grid = centered_grid(n, dx)
+    grid = centered_grid(grid_sizes(2 * reach / dx)[0], dx)
     full = untruncated_comb_wavefunction(L, delta, grid)
     trunc = _truncated_peaks(grid, 0.0, 1.0, delta, eps, L)
     overlap_sq = abs(np.vdot(full.amps, trunc)) ** 2

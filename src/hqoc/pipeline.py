@@ -49,6 +49,7 @@ from .gkp import (
 )
 from .moments import analysis_report, ceil_log2
 from .simulator import (
+    DEFAULT_MEM_CAP_MB,
     GridSpec,
     HybridState,
     apply_circuit,
@@ -358,12 +359,12 @@ def error_budget(m: int, ell: int, delta: float, s: int) -> ErrorBudget:
 
 
 def encoding_grid(layout: EncodingLayout, delta: float) -> GridSpec:
-    """Shared dyadic grid for all encoded states of the layout (see default_comb_grid)."""
+    """Shared grid for all encoded states of the layout (see default_comb_grid)."""
     return default_comb_grid(comb_spec(delta, layout.d, 0))
 
 
 def encode_basis_state(
-    bits, layout: EncodingLayout, delta: float, mem_cap_mb: float = 1024.0
+    bits, layout: EncodingLayout, delta: float, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
 ) -> HybridState:
     """Analytic encoding of a computational basis state into m comb modes.
 
@@ -411,7 +412,7 @@ def logical_x_shift(layout: EncodingLayout, q: int) -> float:
 
 def run_sampling_scheme(
     u_logical: Circuit, n: int, m: int, delta: float, shots: int, seed: int,
-    mem_cap_mb: float = 1024.0,
+    mem_cap_mb: float = DEFAULT_MEM_CAP_MB,
 ) -> SamplingRun:
     """End-to-end run for logical circuits of identity/X gates (desk scale).
 

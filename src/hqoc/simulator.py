@@ -4,8 +4,8 @@ A :class:`HybridState` holds the complex amplitudes of ``m`` oscillator modes
 (position grids, one axis per mode) tensored with ``r`` qubits (trailing axes
 of size 2).  A mode's grid holds ``2^k`` points (``k >= 1``) times one odd
 factor of ``GRID_ODD_FACTORS = (1, 3, 5, 9, 15)``: even sizes that numpy's
-FFT splits into radices 2, 3 and 5, so :func:`auto_grid` can stop short of
-the next power of two.  Amplitudes are stored so that ``sum |amps|^2 = 1``; the
+FFT splits into radices 2, 3 and 5, so a grid (:func:`grid_sizes`) can stop
+short of the next power of two.  Amplitudes are stored so that ``sum |amps|^2 = 1``; the
 wavefunction value at a cell is ``amp / sqrt(dx)``.
 
 Gate kernels:
@@ -58,6 +58,8 @@ EXP_UNDERFLOW_REACH = math.sqrt(2 * 746.0)
 MIN_GRID_POINTS = 256
 # Odd parts m of the grid sizes n = m 2^k (k >= 1).
 GRID_ODD_FACTORS = (1, 3, 5, 9, 15)
+# Memory cap in MB of a run's working set when the caller gives none.
+DEFAULT_MEM_CAP_MB = 1024.0
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
 # ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state,
@@ -430,7 +432,9 @@ def homodyne_sample(
 # -- automatic grid sizing --------------------------------------------------------
 
 
-def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0) -> list[GridSpec]:
+def auto_grid(
+    c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
+) -> list[GridSpec]:
     """Size per-mode grids from the analyzer's window trajectory.
 
     Starting from the vacuum's effective window (radius covering all but
@@ -482,8 +486,8 @@ def auto_grid(c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = 1024.0)
     return specs
 
 
-def _grid_sizes(n_req: float) -> list[int]:
-    """Candidate sizes ``m 2^k`` of ``auto_grid``, ascending (see its size rule)."""
+def grid_sizes(n_req: float) -> list[int]:
+    """Allowed sizes ``m 2^k`` for ``n_req`` points, smallest first (``auto_grid``'s size rule)."""
     if n_req <= MIN_GRID_POINTS:
         return [MIN_GRID_POINTS]
     sizes = [m << max(1, math.ceil(math.log2(n_req / m) - 1e-12)) for m in GRID_ODD_FACTORS]
@@ -497,7 +501,7 @@ def _snap_grid(c: Circuit, a: int, dx_band: float, n_req: float) -> GridSpec:
     Each trial ``dx`` puts ``k`` cells on the shortest shift and is checked
     with the kernel's own float products ``dx * alpha`` through the squeezers.
     """
-    sizes = _grid_sizes(n_req)
+    sizes = grid_sizes(n_req)
     track = [g for g in c.gates
              if g.mode == a and (g.kind == "squeeze" or KINDS[g.kind].shifts == "x")]
 
@@ -530,9 +534,9 @@ def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> No
     """
     mb = 2 ** r * math.prod(g.n_points for g in grids) * 16 / 1e6
     if WORKING_SET_COPIES * mb + shots_mb > mem_cap_mb:
-        shots = f" + {shots_mb:.0f} MB of shots" if shots_mb else ""
+        shots = f" + {shots_mb:g} MB of shots" if shots_mb else ""
         raise ResourceCapError(
-            f"grid needs {WORKING_SET_COPIES} x {mb:.0f} MB{shots} > cap {mem_cap_mb:.0f} MB"
+            f"grid needs {WORKING_SET_COPIES} x {mb:g} MB{shots} > cap {mem_cap_mb:g} MB"
         )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from hqoc.circuit import Circuit, disp_q, qubit_gate, serialize_circuit, squeeze
-from hqoc.cli import main
+from hqoc.cli import build_parser, main
 from hqoc.pipeline import prep_size_formula, run_sampling_scheme
+from hqoc.simulator import GRID_ODD_FACTORS
 
 
 @pytest.fixture
@@ -216,6 +218,34 @@ def test_sample_mem_cap_exit_code(monkeypatch):
     assert main(args + ["--mem-cap-mb", "0.001"]) == 2
     monkeypatch.setenv("HQOC_MEM_CAP_MB", "0.001")
     assert main(args) == 2
+
+
+def test_mem_cap_message_prints_the_sum_it_compared(capsys):
+    # 4 x 0.29 MB of grid + 32 MB of shots = 33.18 MB; whole MB would read 4 x 0 MB
+    args = ["sample", "--n", "2", "--m", "1", "--delta", "0.05", "--shots", "1000000",
+            "--mem-cap-mb", "33"]
+    assert main(args) == 2
+    assert "grid needs 4 x 0.294912 MB + 32 MB of shots > cap 33 MB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_mem_cap_must_be_finite_and_positive(circuit_file, monkeypatch, capsys, source, value):
+    args = ["simulate", str(circuit_file)]
+    if source == "flag":
+        args.append(f"--mem-cap-mb={value}")
+    else:
+        monkeypatch.setenv("HQOC_MEM_CAP_MB", value)
+    assert main(args) == 1
+    name = "--mem-cap-mb" if source == "flag" else "HQOC_MEM_CAP_MB"
+    assert f"{name} must be a finite number of MB > 0, got {value}" in capsys.readouterr().err
+
+
+def test_grid_points_help_lists_the_odd_factors():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    action = next(a for a in sub.choices["simulate"]._actions if a.dest == "grid_points")
+    listed = re.search(r"m in ([\d, ]+) and", action.help).group(1)
+    assert tuple(int(v) for v in listed.split(", ")) == GRID_ODD_FACTORS
 
 
 def test_import_loads_no_scipy():

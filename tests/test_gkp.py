@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hqoc.gkp as gkp
 from hqoc.gkp import (
+    PAD_SIGMAS,
+    SAMPLES_PER_SIGMA,
     CombStateSpec,
     GkpParams,
     aux_params,
@@ -17,7 +20,10 @@ from hqoc.gkp import (
     support_set,
     untruncated_comb_wavefunction,
 )
-from hqoc.simulator import GridError, centered_grid, energy_expectation, trace_distance
+from hqoc.moments import ceil_log2
+from hqoc.simulator import (
+    GRID_ODD_FACTORS, MIN_GRID_POINTS, GridError, centered_grid, energy_expectation, trace_distance,
+)
 
 
 def test_canonical_params_dyadic():
@@ -196,7 +202,7 @@ def _comb_reference(spec, grid):
 def test_comb_wavefunction_in_place_peak_and_bits():
     from hqoc.pipeline import EncodingLayout, encoding_grid
 
-    grid = encoding_grid(EncodingLayout(n=2, m=1), 0.01)  # 2^21 cells
+    grid = encoding_grid(EncodingLayout(n=2, m=1), 0.01)  # 9 * 2^17 cells
     spec = comb_spec(0.01, 4, 1)
     tracemalloc.start()
     try:
@@ -210,3 +216,52 @@ def test_comb_wavefunction_in_place_peak_and_bits():
     for j in range(4):
         spec = comb_spec(1 / 16, 4, j)
         assert comb_wavefunction(spec, small).amps.tobytes() == _comb_reference(spec, small).tobytes()
+
+
+def _smallest_allowed_size(need):
+    """Smallest m 2^k (m in GRID_ODD_FACTORS, k >= 1) holding max(MIN_GRID_POINTS, need) points."""
+    need = max(MIN_GRID_POINTS, need)
+    return min(m << k for m in GRID_ODD_FACTORS for k in range(1, 40) if m << k >= need)
+
+
+def _check_smallest_allowed(grid, need, dx):
+    assert grid.dx == dx
+    assert grid.n_points == _smallest_allowed_size(need)
+    assert grid.n_points <= 1 << max(8, math.ceil(math.log2(need)))  # no larger than the power of two it replaced
+    assert grid.x0 == -(grid.n_points // 2) * dx  # centred by whole cells
+
+
+# criterion 4 and `hqoc sample --n 2 --m 1` (0.02, 0.01), one mode of `hqoc sample --n 4 --m 2`
+# (0.125), comb_family of criteria 1 and 9 (1/32)
+COMB_GRID_POINTS = {(0.02, 4): 147456, (0.01, 4): 1179648, (0.125, 4): 640, (1 / 32, 4): 18432}
+
+
+@pytest.mark.parametrize("delta, d", [
+    (delta, d) for d in (2, 3, 4, 8) for delta in (0.2, 0.125, 0.1, 1 / 16, 0.05, 1 / 32, 0.02, 0.01)
+    if d < 8 or delta <= 0.1  # d = 8 has a canonical family (L >= 2) only from here
+])
+def test_default_comb_grid_takes_the_smallest_allowed_size(delta, d):
+    spec = comb_spec(delta, d, 0)
+    fine = math.sqrt(2 * math.pi / d)
+    dx = fine / 2 ** max(0, ceil_log2(SAMPLES_PER_SIGMA * fine / spec.peak_sigma))
+    top = spec.scale * (spec.params.L // 2 + 1)
+    need = 2 * (top + spec.half_support + PAD_SIGMAS * spec.peak_sigma) / dx
+    grid = default_comb_grid(spec)
+    _check_smallest_allowed(grid, need, dx)
+    assert grid.n_points == COMB_GRID_POINTS.get((delta, d), grid.n_points)
+    # the smaller grid still holds the state of the largest shift
+    assert comb_wavefunction(comb_spec(delta, d, d - 1), grid).norm() == pytest.approx(1.0)
+
+
+def test_overlap_check_grids_take_the_smallest_allowed_size(monkeypatch):
+    grids = []
+
+    def capture(L, delta, grid):
+        grids.append(grid)
+        return untruncated_comb_wavefunction(L, delta, grid)
+
+    monkeypatch.setattr(gkp, "untruncated_comb_wavefunction", capture)
+    for delta, eps in [(0.05, 0.25), (0.1, 0.25), (0.02, 0.1)]:  # criterion 2
+        overlap_check(delta, eps, 16)
+        _check_smallest_allowed(grids[-1], 2 * (8 + 1 + 12 * delta) / (delta / 16), delta / 16)
+    assert [g.n_points for g in grids] == [6144, 3840, 15360]

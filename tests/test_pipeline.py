@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -356,14 +357,14 @@ def test_prep_rejects_bad_parameters():
 
 
 def test_encode_basis_state_checks_mem_cap():
-    # 1024^2 cells at delta = 0.125 need 17 MB; a 1 MB cap refuses them
+    # 640^2 cells at delta = 0.125 need 6.5536 MB; a 1 MB cap refuses them
     layout = EncodingLayout(n=4, m=2)
-    with pytest.raises(ResourceCapError, match="17 MB > cap 1 MB"):
+    with pytest.raises(ResourceCapError, match=re.escape("grid needs 4 x 6.5536 MB > cap 1 MB")):
         encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=1.0)
 
 
 def test_run_caps_shot_arrays_before_encoding():
-    # the 2^15-cell grid needs 4 x 0.5 MB; 10^6 shots add 32 MB of arrays, past a 20 MB cap
+    # the 18,432-cell grid needs 4 x 0.29 MB; 10^6 shots add 32 MB of arrays, past a 20 MB cap
     u = Circuit(0, 2, ())
     tracemalloc.start()
     try:
