@@ -264,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run the end-to-end sampling scheme")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help="modes, 1 <= m <= n; each holds ceil(n/m) bits and is simulated on its "
+                        "own grid, so memory is one mode's grid, not grid^m")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

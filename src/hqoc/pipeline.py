@@ -273,9 +273,6 @@ def build_wu(u_logical: Circuit, m: int, ell: int) -> Circuit:
 
 @dataclass(frozen=True)
 class PipelineCircuits:
-    u_prep: Circuit
-    u_code_prep: Circuit
-    v_aux_prep: Circuit
     w_prep: Circuit
     w_u: Circuit
     w_tot: Circuit
@@ -288,16 +285,8 @@ def build_pipeline_circuits(
     ell = layout.ell
     w_prep = build_wprep(m, ell, delta)
     w_u = build_wu(u_logical, m, ell)
-    w_prep3 = Circuit(m=m + 1, r=3, gates=w_prep.gates)
-    w_tot = Circuit(m=m + 1, r=3, gates=w_prep3.gates + w_u.gates)
-    return PipelineCircuits(
-        u_prep=build_prep_circuit(peak_count_exponent(delta, ell), delta),
-        u_code_prep=build_code_prep(ell, delta),
-        v_aux_prep=build_aux_prep(ell, delta),
-        w_prep=w_prep,
-        w_u=w_u,
-        w_tot=w_tot,
-    )
+    w_tot = Circuit(m=m + 1, r=3, gates=w_prep.gates + w_u.gates)
+    return PipelineCircuits(w_prep=w_prep, w_u=w_u, w_tot=w_tot)
 
 
 # -- error budget ----------------------------------------------------------------
@@ -359,41 +348,41 @@ def error_budget(m: int, ell: int, delta: float, s: int) -> ErrorBudget:
 
 
 def encoding_grid(layout: EncodingLayout, delta: float) -> GridSpec:
-    """Shared grid for all encoded states of the layout (see default_comb_grid)."""
+    """Grid of every encoded mode of the layout (see default_comb_grid)."""
     return default_comb_grid(comb_spec(delta, layout.d, 0))
+
+
+def encode_mode(layout: EncodingLayout, delta: float, j: int) -> HybridState:
+    """Analytic one-mode comb state of logical index ``j`` on the layout's encoding grid."""
+    return comb_wavefunction(comb_spec(delta, layout.d, j), encoding_grid(layout, delta))
 
 
 def encode_basis_state(
     bits, layout: EncodingLayout, delta: float, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
-) -> HybridState:
-    """Analytic encoding of a computational basis state into m comb modes.
+) -> list[HybridState]:
+    """Analytic encoding of a computational basis state: its m one-mode comb states.
 
-    Raises ``ResourceCapError`` before allocating if the run's working set on
-    the joint grid (``simulator.check_mem_cap``) would exceed ``mem_cap_mb``.
+    A basis state is a product over the modes, so it is held as one state a
+    mode.  Raises ``ResourceCapError`` before allocating if one mode's working
+    set (``simulator.check_mem_cap``) would exceed ``mem_cap_mb``.
     """
     bits = tuple(int(b) for b in bits)
     if len(bits) != layout.n:
         raise ValueError(f"expected {layout.n} logical bits")
-    grids = [encoding_grid(layout, delta)] * layout.m
-    check_mem_cap(grids, 0, mem_cap_mb)
-    indices = layout.indices_for_bits(bits)
-    amps = np.ones((), dtype=complex)
-    for alpha, j in enumerate(indices):
-        mode = comb_wavefunction(comb_spec(delta, layout.d, j), grids[alpha])
-        amps = np.multiply.outer(amps, mode.amps)
-    return HybridState(layout.m, 0, tuple(grids), amps)
+    check_mem_cap([encoding_grid(layout, delta)], 0, mem_cap_mb)
+    return [encode_mode(layout, delta, j) for j in layout.indices_for_bits(bits)]
 
 
-def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> HybridState:
-    """Analytic encoding of a superposition {bits: amplitude} (m <= 2)."""
-    if layout.m > 2:
-        raise ValueError("full encoded superpositions are capped at m <= 2")
+def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> list[HybridState]:
+    """Analytic encoding of a superposition {bits: amplitude} on one mode, as a one-state list."""
+    if layout.m != 1:
+        raise ValueError("encoded superpositions are held on one mode (m = 1)")
     total = None
     for bits, coeff in amplitudes.items():
-        basis = encode_basis_state(bits, layout, delta)
+        [basis] = encode_basis_state(bits, layout, delta)
         term = coeff * basis.amps
         total = term if total is None else total + term
-    return HybridState(layout.m, 0, basis.grids, total).normalize()
+    return [HybridState(1, 0, basis.grids, total).normalize()]
 
 
 @dataclass(frozen=True)
@@ -401,7 +390,6 @@ class SamplingRun:
     samples: np.ndarray  # (shots, n) bits
     budget: ErrorBudget
     energy_report: dict
-    layout: EncodingLayout
 
 
 def logical_x_shift(layout: EncodingLayout, q: int) -> float:
@@ -414,18 +402,16 @@ def run_sampling_scheme(
     u_logical: Circuit, n: int, m: int, delta: float, shots: int, seed: int,
     mem_cap_mb: float = DEFAULT_MEM_CAP_MB,
 ) -> SamplingRun:
-    """End-to-end run for logical circuits of identity/X gates (desk scale).
+    """End-to-end run for logical circuits of identity/X gates, one mode at a time.
 
-    Logical X gates are realized as physical position shifts by
-    ``sqrt(2 pi / d) * 2^bit`` of the encoding mode, which permute the comb
-    states; homodyne sampling plus post-processing yields the output bits.
-    Raises ``ResourceCapError`` before encoding if the grid's working set and
-    the shot arrays together would exceed ``mem_cap_mb``.
+    Logical X gates are position shifts by ``sqrt(2 pi / d) * 2^bit`` of their
+    mode, so the state stays a product of combs: each mode is built, shifted
+    and sampled on its own grid and freed before the next.  Raises
+    ``ResourceCapError`` before encoding if one mode's working set and the
+    shot arrays together would exceed ``mem_cap_mb``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if m > 2:
-        raise ValueError("full tensor simulation is capped at m <= 2 modes")
     layout = EncodingLayout(n=n, m=m)
     for i, g in enumerate(u_logical.gates, start=1):
         if g.kind != "qubit_gate" or g.name not in ("X",):
@@ -433,40 +419,43 @@ def run_sampling_scheme(
                 f"simulable logical gates are restricted to X (gate {i}); "
                 "general circuits are analyzed via blackbox recompilation only"
             )
-    # Peak of the shot arrays beside the state (``tracemalloc``), 8 B a shot
-    # for each of: while sampling, two cell-index arrays and 2m coordinate
-    # arrays; while decoding, m outcomes, m rounded indices and n' int64 bits.
-    # After the run, the returned bits (a view of the n' columns) and their
-    # text (``hqoc sample``: uint8 rows, bytes and str of n digits and a
-    # newline) may outgrow that.
+    # Peak of the shot arrays beside one mode's state (``tracemalloc``), 8 B a
+    # shot for each of: while sampling, m - 1 outcome columns and 4 arrays of
+    # ``homodyne_sample`` (m + 3 <= 2m + 2); while decoding, m outcomes, m
+    # rounded indices and n' int64 bits.  After the run, the returned bits (a
+    # view of the n' columns) and their text (``hqoc sample``: uint8 rows,
+    # bytes and str of n digits and a newline) may outgrow that.
     per_shot = max(8 * (2 * m + max(2, layout.n_prime)), 8 * layout.n_prime + 3 * (n + 1))
     shots_mb = per_shot * shots / 1e6
-    check_mem_cap([encoding_grid(layout, delta)] * m, 0, mem_cap_mb, shots_mb=shots_mb)
-    state = encode_basis_state((0,) * n, layout, delta, mem_cap_mb=mem_cap_mb)
-    shift_gates = []
+    check_mem_cap([encoding_grid(layout, delta)], 0, mem_cap_mb, shots_mb=shots_mb)
+    shifts: list[list[Gate]] = [[] for _ in range(m)]
     for g in u_logical.gates:
         q = g.qubits[0] + 1
-        alpha, _bit = layout.mode_and_bit(q)
-        shift_gates.append(disp_p(alpha, logical_x_shift(layout, q)))
-    if shift_gates:
-        state = apply_circuit(state, Circuit(m=m, r=0, gates=tuple(shift_gates)))
-    samples = sample_encoded_state(state, layout, shots, seed)
+        shifts[layout.mode_and_bit(q)[0]].append(disp_p(0, logical_x_shift(layout, q)))
+    modes = (
+        apply_circuit(encode_mode(layout, delta, 0), Circuit(m=1, r=0, gates=tuple(gates)))
+        for gates in shifts
+    )
+    samples = sample_encoded_state(modes, layout, shots, seed)
     u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
     w_tot = build_pipeline_circuits(u_ext, n, m, delta).w_tot
     budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
-    return SamplingRun(
-        samples=samples,
-        budget=budget,
-        energy_report=analysis_report(w_tot),
-        layout=layout,
-    )
+    return SamplingRun(samples, budget, analysis_report(w_tot))
 
 
-def sample_encoded_state(
-    state: HybridState, layout: EncodingLayout, shots: int, seed: int
-) -> np.ndarray:
-    """Homodyne + post-processing of an already-encoded state: ``(shots, n)`` int64 bits."""
-    ys, _ = homodyne_sample(state, shots, seed)
+def sample_encoded_state(states, layout: EncodingLayout, shots: int, seed: int) -> np.ndarray:
+    """Homodyne + post-processing of one-mode states, mode 0 first: ``(shots, n)`` int64 bits.
+
+    All modes draw from one ``default_rng(seed)``, so mode 0 reads the stream of
+    ``homodyne_sample(state, shots, seed)``; a generator's states are held one at a time.
+    """
+    rng = np.random.default_rng(seed)
+    columns = []
+    for state in states:
+        columns.append(homodyne_sample(state, shots, rng)[0])
+        del state  # free this mode before the generator builds the next
+    ys = np.hstack(columns)
+    del columns  # decode without the per-mode columns
     return post_process(ys, layout)
 
 

@@ -13,7 +13,9 @@ Gate kernels:
 * ``e^{itQ}``: pointwise phase ``e^{itx}``;
 * ``e^{-itP}``: exact roll when ``t`` is an integer number of cells, otherwise
   a phase multiply in the discrete Fourier domain (exact for band-limited
-  states on a periodic grid, wraparound guarded by a boundary-mass check);
+  states on a periodic grid); the overflow guard then reads only ``EDGE_CELLS``
+  cells at each edge, so it sees mass drifting onto an edge, not a shift past
+  it, nor momentum aliasing (ROADMAP item 1);
   :func:`auto_grid` snaps ``dx`` so that, where one ``dx`` can, every shift
   of a mode is a roll (the circuits of the paper's preparations all are);
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
@@ -68,9 +70,9 @@ DEFAULT_MEM_CAP_MB = 1024.0
 # FFT plan, the O(sqrt n) phase tables and, outside the kernels, the float
 # temporaries of comb building (1.56 copies) and sampling come on top.
 # Measured ``tracemalloc`` peaks: 2.01 for vacuum plus ``apply_circuit`` of
-# the comb prep (n=8, Delta=0.02; 36,864 points), 3.00 for
-# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; its uncontrolled shift's
-# roll).  Rounded up to 4.
+# the comb prep (n=8, Delta=0.02; 36,864 points), 2.00 for
+# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a mode's private copy and its
+# shift's roll, the comb it copied already freed).  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -79,7 +81,7 @@ class GridError(ValueError):
 
 
 class GridOverflowError(GridError):
-    """State mass reached the grid boundary (wraparound would corrupt it)."""
+    """Mass on a grid's ``EDGE_CELLS`` edge cells after a shift (not a jump past them)."""
 
 
 class GridMismatchError(ValueError):
@@ -267,8 +269,8 @@ def _apply_inplace(state: HybridState, g: Gate) -> None:
 
     Displacements write into the (branch) view of ``state.amps``; a qubit gate
     and a squeezer replace ``state.amps`` / ``state.grids``.  Raises
-    ``GridOverflowError`` when a shift pushes mass onto a grid edge, and
-    ``GridError`` when a squeezer leaves a non-finite grid.
+    ``GridOverflowError`` when a shift leaves mass on the edge cells (not when it
+    jumps past them), and ``GridError`` when a squeezer leaves a non-finite grid.
     """
     if g.kind == "blackbox":
         raise AnalysisError("blackbox nodes cannot be simulated")
@@ -405,13 +407,14 @@ def _check_same_grids(a: HybridState, b: HybridState) -> None:
 
 
 def homodyne_sample(
-    state: HybridState, shots: int, seed: int
+    state: HybridState, shots: int, seed: int | np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (y, z) jointly: mode cells and qubit bits from ``|amps|^2``.
 
     Returns ``(ys, zs)`` with shapes ``(shots, m)`` and ``(shots, r)``;
     positions are reported at cell centers, computed for the sampled cells
-    only.  The stream is a deterministic function of the seed.
+    only.  The stream is a deterministic function of the seed; a Generator
+    passed as ``seed`` is used as it is, so successive calls can share one.
     """
     rng = np.random.default_rng(seed)
     cdf = np.abs(state.amps.ravel())

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,18 @@ def test_sample_csv_matches_per_row_join(n, m, delta, logical, tmp_path):
     run = run_sampling_scheme(Circuit(0, n, gates), n, m, delta, 300, 11)
     lines = ["".join(map(str, bits.tolist())) for bits in run.samples]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n, m, logical, want", [
+    (4, 2, None, "0000"),
+    (16, 8, "X:1,X:6,X:16", "1000010000000001"),
+])
+def test_sample_runs_many_modes_under_the_default_cap(n, m, logical, want, tmp_path):
+    # one mode's grid at delta = 0.05 is 18,432 cells whatever m is; no grid^m tensor
+    out = tmp_path / "s.csv"
+    args = ["sample", "--n", str(n), "--m", str(m), "--delta", "0.05", "--out", str(out)]
+    assert main(args + (["--logical", logical] if logical else [])) == 0
+    assert Counter(out.read_text().split()) == Counter({want: 1000})
 
 
 def test_tradeoff_table(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hqoc.pipeline as pipeline
-from hqoc.circuit import Circuit, qubit_gate, squeeze
+from hqoc.circuit import Circuit, disp_p, qubit_gate, squeeze
 from hqoc.moments import ceil_log2, circuit_params, energy_upper_bound
 from hqoc.pipeline import (
     EncodingLayout,
@@ -21,8 +21,10 @@ from hqoc.pipeline import (
     code_prep_target,
     discretize,
     encode_basis_state,
+    encode_mode,
     encode_state,
     error_budget,
+    logical_x_shift,
     post_process,
     prep_size_formula,
     prep_target_state,
@@ -32,9 +34,11 @@ from hqoc.pipeline import (
     simulate_wprep_factorized,
 )
 from hqoc.simulator import (
+    WORKING_SET_COPIES,
     ResourceCapError,
     apply_circuit,
     auto_grid,
+    homodyne_sample,
     trace_distance,
     vacuum_state,
 )
@@ -261,16 +265,18 @@ def test_post_process_shapes():
 
 def test_sample_encoded_state_decodes_in_one_call(monkeypatch):
     lay = EncodingLayout(n=2, m=1)
-    st_ = encode_basis_state((1, 0), lay, 0.02)
+    states = encode_basis_state((1, 0), lay, 0.02)
     calls = []
 
     def counting(ys, layout):
-        calls.append(np.shape(ys))
+        calls.append(ys)
         return post_process(ys, layout)
 
     monkeypatch.setattr(pipeline, "post_process", counting)
-    samples = sample_encoded_state(st_, lay, 10_000, seed=3)
-    assert calls == [(10_000, 1)]
+    samples = sample_encoded_state(states, lay, 10_000, seed=3)
+    [ys] = calls
+    # an m = 1 layout reads exactly the stream of one homodyne_sample call
+    assert np.array_equal(ys, homodyne_sample(states[0], 10_000, seed=3)[0])
     assert samples.shape == (10_000, 2) and samples.dtype == np.int64
     assert set(map(tuple, samples.tolist())) == {(1, 0)}
 
@@ -280,7 +286,7 @@ def test_run_rejects_bad_shot_counts_before_encoding(shots, monkeypatch):
     def no_encoding(*args, **kwargs):
         raise AssertionError("encoded a state for a bad shot count")
 
-    monkeypatch.setattr(pipeline, "encode_basis_state", no_encoding)
+    monkeypatch.setattr(pipeline, "encode_mode", no_encoding)
     with pytest.raises(ValueError, match="shots"):
         run_sampling_scheme(Circuit(0, 2, ()), n=2, m=1, delta=0.05, shots=shots, seed=0)
 
@@ -341,8 +347,8 @@ def test_run_rejects_general_gates():
 
 def test_encoded_superposition_frequencies():
     lay = EncodingLayout(n=2, m=1)
-    st = encode_state({(0, 1): 1.0, (1, 0): 1.0}, lay, 0.02)
-    samples = sample_encoded_state(st, lay, 6000, seed=8)
+    states = encode_state({(0, 1): 1.0, (1, 0): 1.0}, lay, 0.02)
+    samples = sample_encoded_state(states, lay, 6000, seed=8)
     counts = Counter(map(tuple, samples.tolist()))
     assert set(counts) == {(0, 1), (1, 0)}
     for k in counts:
@@ -357,10 +363,11 @@ def test_prep_rejects_bad_parameters():
 
 
 def test_encode_basis_state_checks_mem_cap():
-    # 640^2 cells at delta = 0.125 need 6.5536 MB; a 1 MB cap refuses them
+    # each mode's 640 cells at delta = 0.125 need 4 x 0.01024 MB; a 0.04 MB cap refuses them
     layout = EncodingLayout(n=4, m=2)
-    with pytest.raises(ResourceCapError, match=re.escape("grid needs 4 x 6.5536 MB > cap 1 MB")):
-        encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=1.0)
+    with pytest.raises(ResourceCapError, match=re.escape("grid needs 4 x 0.01024 MB > cap 0.04 MB")):
+        encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=0.04)
+    assert len(encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=0.05)) == 2
 
 
 def test_run_caps_shot_arrays_before_encoding():
@@ -375,3 +382,38 @@ def test_run_caps_shot_arrays_before_encoding():
         tracemalloc.stop()
     assert peak < 1e6  # raised before the grid or any shot array was allocated
     assert run_sampling_scheme(u, 2, 1, 0.05, 10**5, 0, mem_cap_mb=20).samples.shape == (10**5, 2)
+
+
+def test_m2_share_of_1001_is_the_product_of_the_mode_probabilities():
+    # X:1 and X:4 put mode 0 at index 2 and mode 1 at index 1; the modes are sampled apart
+    n, m, delta, shots = 4, 2, 0.125, 10**5
+    lay = EncodingLayout(n=n, m=m)
+    u = Circuit(0, n, (qubit_gate("X", 0), qubit_gate("X", 3)))
+    p = 1.0
+    for q, j in ((1, 2), (4, 1)):
+        shift = Circuit(1, 0, (disp_p(0, logical_x_shift(lay, q)),))
+        state = apply_circuit(encode_mode(lay, delta, 0), shift)
+        xs = state.grids[0].xs
+        p *= float(state.position_density()[discretize(xs, lay.ell) == j].sum())
+    assert 0.9 < p < 1.0  # the truncated comb leaks a few percent into the neighbour indices
+    samples = run_sampling_scheme(u, n, m, delta, shots, seed=4).samples
+    share = float(np.all(samples == [1, 0, 0, 1], axis=1).mean())
+    assert abs(share - p) <= 6 * math.sqrt(p * (1 - p) / shots)
+
+
+def test_run_holds_one_mode_at_a_time():
+    # n=16, m=8 at delta = 0.05: eight modes of 18,432 cells, two bits each
+    n, m, delta, shots = 16, 8, 0.05, 1000
+    u = Circuit(0, n, (qubit_gate("X", 0), qubit_gate("X", 5), qubit_gate("X", 15)))
+    run_sampling_scheme(u, n, m, delta, 10, seed=0)  # first-call allocations of numpy
+    cells = pipeline.encoding_grid(EncodingLayout(n=n, m=m), delta).n_points
+    assert cells == 18_432
+    tracemalloc.start()
+    try:
+        samples = run_sampling_scheme(u, n, m, delta, shots, seed=2).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    shot_bytes = 8 * (2 * m + n) * shots  # as run_sampling_scheme counts them for the cap
+    assert peak <= WORKING_SET_COPIES * 16 * cells + shot_bytes
+    assert set(map(tuple, samples.tolist())) == {(1, 0, 0, 0, 0, 1) + (0,) * 9 + (1,)}

@@ -544,7 +544,7 @@ def _sample_with_grid_xs(state, shots, seed):
 def test_homodyne_sample_reads_only_sampled_positions():
     from hqoc.pipeline import EncodingLayout, encode_basis_state
 
-    st = encode_basis_state((1, 0), EncodingLayout(n=2, m=1), 0.01)  # 9 * 2^17 cells
+    [st] = encode_basis_state((1, 0), EncodingLayout(n=2, m=1), 0.01)  # 9 * 2^17 cells
     peak = _peak_copies(lambda: homodyne_sample(st, 1000, seed=3), st.amps.nbytes)
     assert peak <= 0.75  # the density array is 0.5 copies; evaluating grid.xs adds one more
     hybrid = apply_gate(apply_gate(make_vacuum(), qubit_gate("H", 0)), ctrl_disp_p(0, 0, 3.0))
