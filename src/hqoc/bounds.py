@@ -14,16 +14,20 @@ marginals of simulated states):
   ``4 R^2 / pi``).
 
 The kernel is discretised on a uniform trapezoid grid of step ``h``, so its
-matrix is Toeplitz, ``K[i, j] = f[|i - j|]`` with
-``f[k] = sin(2 R k h) / (pi k h)`` and ``f[0] = 2 R / pi``: it is built from
-those n values, not from an n x n table of differences.  The kernel and the
-weights are even under ``x -> -x``, so the weighted matrix ``A`` is
-centrosymmetric (``J A J = A`` with ``J`` the exchange matrix).  With the
-halves ``A11 = A[:h, :h]`` and ``A12 = A[:h, -h:]`` (``h = n // 2``) its
-spectrum is that of ``A11 + A12 J`` (even vectors) together with that of
-``A11 - A12 J`` (odd vectors): two half-size problems at about a quarter of
-the flops.  For odd ``n`` the middle row and column join the even block,
-scaled by ``sqrt(2)``.
+weighted matrix ``A = W^{1/2} K W^{1/2}`` is Toeplitz inside the weights,
+``K[i, j] = f[|i - j|]`` with ``f[k] = sin(2 R k h) / (pi k h)`` and
+``f[0] = 2 R / pi``.  The kernel is held as those n values and the weights,
+never as an n x n matrix; its trace is ``f[0]`` times the sum of the weights.
+The kernel and the weights are even under ``x -> -x``, so ``A`` is
+centrosymmetric (``J A J = A`` with ``J`` the exchange matrix).  With
+``h = n // 2`` its spectrum is that of the even block ``A11 + A12 J`` together
+with that of the odd block ``A11 - A12 J``, where
+``(A11 +- A12 J)[i, j] = w_i^{1/2} (f[|i - j|] +- f[n - 1 - i - j]) w_j^{1/2}``
+for ``i, j < h``: a Toeplitz part plus or minus a Hankel part, both read as
+views of ``f``.  For odd ``n`` the middle row and column join the even block,
+scaled by ``sqrt(2)``.  The blocks are built and solved one at a time, so the
+spectrum needs the larger block and ``eigvalsh``'s copy of it, about
+``4 n^2`` bytes, at a quarter of the flops of the full problem.
 
 Distributions are sorted ``(value, mass)`` arrays; interval infima are found
 by exact two-pointer sweeps, no continuous optimization.
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import HybridState
+from .simulator import DEFAULT_MEM_CAP_MB, HybridState, ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,21 @@ def corollary_scalings(n: int, m: int, r: int, delta: float = 1.0 / 36.0) -> dic
 
 @dataclass(frozen=True)
 class DonohoStarkKernel:
+    """Trapezoid discretisation of the Donoho-Stark kernel, held in O(n) memory.
+
+    ``values[k] = f[k]`` is the kernel at separation ``k h``, so the weighted
+    matrix is ``sqrt(w_i) values[|i - j|] sqrt(w_j)``; it is never formed.
+    ``donoho_stark_eigs`` solves it as two parity blocks, about ``4 n^2`` bytes.
+    """
+
     R: float
     grid: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray  # symmetrized W^{1/2} K W^{1/2}
+    values: np.ndarray
+
+    def trace(self) -> float:
+        """Quadrature trace ``f[0] * sum(w)``; tends to ``4 R^2 / pi``."""
+        return float(self.values[0] * self.weights.sum())
 
 
 def donoho_stark_kernel(R: float, n_quad: int) -> DonohoStarkKernel:
@@ -199,36 +214,54 @@ def donoho_stark_kernel(R: float, n_quad: int) -> DonohoStarkKernel:
     f[0] = 2.0 * R / math.pi  # removable singularity
     kh = h * np.arange(1, n_quad)
     f[1:] = np.sin(2.0 * R * kh) / (math.pi * kh)
-    # window i of f[n-1], ..., f[1], f[0], ..., f[n-1] is row n-1-i of K
-    K = np.lib.stride_tricks.sliding_window_view(np.concatenate((f[:0:-1], f)), n_quad)[::-1]
-    sw = np.sqrt(w)
-    A = sw[:, None] * K * sw[None, :]
-    A = 0.5 * (A + A.T)
-    return DonohoStarkKernel(R=R, grid=xs, weights=w, matrix=A)
+    return DonohoStarkKernel(R=R, grid=xs, weights=w, values=f)
 
 
 def donoho_stark_eigs(kern: DonohoStarkKernel) -> np.ndarray:
     """Ascending eigenvalues of a discretized kernel (in [0, 1] up to quadrature error).
 
     Solved as the even and the odd half-size blocks of the centrosymmetric
-    matrix (see the module docstring); raises ``ValueError`` for a matrix
-    that is not centrosymmetric.
+    matrix (see the module docstring); raises ``ValueError`` for weights that
+    are not mirror-symmetric, which would make the matrix not centrosymmetric.
     """
-    A = kern.matrix
-    if not np.array_equal(A, A[::-1, ::-1]):
-        raise ValueError("Donoho-Stark matrix must be centrosymmetric")
-    n = A.shape[0]
+    w = kern.weights
+    if not np.array_equal(w, w[::-1]):
+        raise ValueError("Donoho-Stark matrix must be centrosymmetric (mirror-symmetric weights)")
+    return np.sort(np.concatenate((_parity_block_eigs(kern, True), _parity_block_eigs(kern, False))))
+
+
+def _parity_block_eigs(kern: DonohoStarkKernel, even: bool) -> np.ndarray:
+    """Eigenvalues of the even or the odd parity block, built from ``f``."""
+    f = kern.values
+    n = f.size
     h = n // 2
-    a12j = A[:h, : n - h - 1 : -1]  # A12 J: columns n-1, ..., n-h
-    even = A[:h, :h] + a12j
-    odd = A[:h, :h] - a12j
-    if n % 2:
-        mid = math.sqrt(2.0) * A[:h, h : h + 1]
-        even = np.block([[even, mid], [mid.T, A[h:h + 1, h:h + 1]]])
-    return np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+    size = n - h if even else h  # odd n: the middle point joins the even block
+    window = np.lib.stride_tricks.sliding_window_view
+    # row i of the Toeplitz part is window h-1-i of f[h-1], ..., f[1], f[0], ..., f[h-1];
+    # row i of the Hankel part f[n-1-i-j] is window i of f reversed
+    toeplitz = window(np.concatenate((f[h - 1 : 0 : -1], f[:h])), h)[::-1]
+    hankel = window(f[::-1], h)[:h]
+    block = np.empty((size, size))
+    (np.add if even else np.subtract)(toeplitz, hankel, out=block[:h, :h])
+    if size > h:
+        block[:h, h] = block[h, :h] = math.sqrt(2.0) * f[h:0:-1]
+        block[h, h] = f[0]
+    sw = np.sqrt(kern.weights[:size])
+    block *= sw[:, None]
+    block *= sw[None, :]
+    return np.linalg.eigvalsh(block)
 
 
-def donoho_stark_trace(R: float, n_quad: int) -> tuple[float, float]:
-    """(quadrature trace, max eigenvalue); trace -> 4R^2/pi, eigenvalues in [0, 1]."""
+def donoho_stark_trace(
+    R: float, n_quad: int, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
+) -> tuple[float, float]:
+    """(quadrature trace, max eigenvalue); trace -> 4R^2/pi, eigenvalues in [0, 1].
+
+    Raises ``ResourceCapError`` before building anything if the spectrum's
+    peak, the even block and ``eigvalsh``'s copy of it, would exceed ``mem_cap_mb``.
+    """
+    mb = 2 * 8 * (n_quad - n_quad // 2) ** 2 / 1e6
+    if mb > mem_cap_mb:
+        raise ResourceCapError(f"Donoho-Stark blocks need {mb:g} MB > cap {mem_cap_mb:g} MB")
     kern = donoho_stark_kernel(R, n_quad)
-    return float(np.trace(kern.matrix)), float(donoho_stark_eigs(kern)[-1])
+    return kern.trace(), float(donoho_stark_eigs(kern)[-1])

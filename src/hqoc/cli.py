@@ -192,7 +192,7 @@ def cmd_lowerbound(args) -> int:
     payload: dict = {"config": _config(args, ["d", "m", "r", "delta", "R", "n_quad"])}
     payload["radius_dimension_bound"] = radius_dimension_bound(args.d, args.m, args.r, args.delta)
     if args.R is not None:
-        trace, max_eig = donoho_stark_trace(args.R, args.n_quad)
+        trace, max_eig = donoho_stark_trace(args.R, args.n_quad, mem_cap_mb=_mem_cap(args))
         payload["donoho_stark"] = {
             "R": args.R,
             "n_quad": args.n_quad,
@@ -295,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--delta", type=float, default=1.0 / 36.0)
     p.add_argument("--R", type=float)
-    p.add_argument("--n-quad", type=int, dest="n_quad", default=1024)
+    p.add_argument(
+        "--n-quad", type=int, dest="n_quad", default=1024, metavar="N",
+        help="quadrature points of the --R kernel; its spectrum holds about 4 x N^2 bytes,"
+        " checked against $HQOC_MEM_CAP_MB, else the default cap"
+        f" {DEFAULT_MEM_CAP_MB:g} MB (default: %(default)s)",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_lowerbound)
 

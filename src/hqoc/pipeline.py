@@ -380,9 +380,13 @@ def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> list
     total = None
     for bits, coeff in amplitudes.items():
         [basis] = encode_basis_state(bits, layout, delta)
-        term = coeff * basis.amps
-        total = term if total is None else total + term
-    return [HybridState(1, 0, basis.grids, total).normalize()]
+        basis.amps *= coeff  # a fresh array, so scaled and summed in place
+        if total is None:
+            total = basis
+        else:
+            total.amps += basis.amps
+        del basis  # free it before the next one is built
+    return [total.normalize()]
 
 
 @dataclass(frozen=True)
@@ -408,7 +412,9 @@ def run_sampling_scheme(
     mode, so the state stays a product of combs: each mode is built, shifted
     and sampled on its own grid and freed before the next.  Raises
     ``ResourceCapError`` before encoding if one mode's working set and the
-    shot arrays together would exceed ``mem_cap_mb``.
+    shot arrays together would exceed ``mem_cap_mb``.  The compiled circuit
+    ``w_tot``, its energy report and the error budget are built before the
+    first mode, so an inadmissible ``delta`` raises before any sampling.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -420,14 +426,17 @@ def run_sampling_scheme(
                 "general circuits are analyzed via blackbox recompilation only"
             )
     # Peak of the shot arrays beside one mode's state (``tracemalloc``), 8 B a
-    # shot for each of: while sampling, m - 1 outcome columns and 4 arrays of
-    # ``homodyne_sample`` (m + 3 <= 2m + 2); while decoding, m outcomes, m
+    # shot for each of: while sampling, m - 1 outcome columns and 3 arrays of
+    # ``homodyne_sample`` (m + 2 <= 2m + 2); while decoding, m outcomes, m
     # rounded indices and n' int64 bits.  After the run, the returned bits (a
     # view of the n' columns) and their text (``hqoc sample``: uint8 rows,
     # bytes and str of n digits and a newline) may outgrow that.
     per_shot = max(8 * (2 * m + max(2, layout.n_prime)), 8 * layout.n_prime + 3 * (n + 1))
     shots_mb = per_shot * shots / 1e6
     check_mem_cap([encoding_grid(layout, delta)], 0, mem_cap_mb, shots_mb=shots_mb)
+    u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
+    energy_report = analysis_report(build_pipeline_circuits(u_ext, n, m, delta).w_tot)
+    budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
     shifts: list[list[Gate]] = [[] for _ in range(m)]
     for g in u_logical.gates:
         q = g.qubits[0] + 1
@@ -437,10 +446,7 @@ def run_sampling_scheme(
         for gates in shifts
     )
     samples = sample_encoded_state(modes, layout, shots, seed)
-    u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
-    w_tot = build_pipeline_circuits(u_ext, n, m, delta).w_tot
-    budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
-    return SamplingRun(samples, budget, analysis_report(w_tot))
+    return SamplingRun(samples, budget, energy_report)
 
 
 def sample_encoded_state(states, layout: EncodingLayout, shots: int, seed: int) -> np.ndarray:

@@ -425,7 +425,8 @@ def homodyne_sample(
     cells = np.unravel_index(np.minimum(flat, cdf.size - 1), state.amps.shape)
     ys = np.empty((shots, state.m))
     for a, grid in enumerate(state.grids):
-        ys[:, a] = grid.x0 + grid.dx * cells[a]
+        np.multiply(cells[a], grid.dx, out=ys[:, a])  # no float temporary beside ys
+        ys[:, a] += grid.x0
     zs = np.empty((shots, state.r), dtype=np.int64)
     for q in range(state.r):
         zs[:, q] = cells[state.m + q]

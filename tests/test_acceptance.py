@@ -2,6 +2,7 @@
 one pass/fail line per criterion (also available via `hqoc verify --full`)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,19 @@ def test_acceptance_criterion(number):
     assert result.passed, f"criterion {number} failed: {result.details}"
     if result.limit is not None:
         assert result.runtime < result.limit
+
+
+def test_criterion_8_allocates_no_n_by_n_matrix():
+    # one float64 matrix of the criterion's n_quad = 1024 would be 8 x 1024^2 B
+    acceptance.criterion_8()  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        result = acceptance.criterion_8()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 8 * 1024**2
 
 
 def random_circuit_by_choice(rng, max_gates=12):

@@ -144,12 +144,15 @@ def test_donoho_stark_spectrum():
 
 def test_donoho_stark_kernel_symmetry():
     kern = donoho_stark_kernel(1.5, 128)
-    assert np.allclose(kern.matrix, kern.matrix.T)
-    assert kern.matrix.shape == (128, 128)
-    # diagonal of the raw kernel is 2R/pi
+    assert kern.values.shape == kern.weights.shape == kern.grid.shape == (128,)
+    assert np.array_equal(kern.weights, kern.weights[::-1])
+    # diagonal of the raw kernel is 2R/pi, on the dense oracle too
+    assert kern.values[0] == pytest.approx(2 * 1.5 / math.pi, rel=1e-12)
+    oracle = outer_difference_kernel(1.5, 128)
+    assert np.allclose(oracle, oracle.T)
     i = 64
-    raw = kern.matrix[i, i] / kern.weights[i]
-    assert raw == pytest.approx(2 * 1.5 / math.pi, rel=1e-12)
+    assert oracle[i, i] / kern.weights[i] == pytest.approx(kern.values[0], rel=1e-12)
+    assert kern.trace() == pytest.approx(float(np.trace(oracle)), rel=1e-12)
 
 
 def test_donoho_stark_validation():
@@ -174,15 +177,31 @@ def outer_difference_kernel(R, n_quad):
     return 0.5 * (A + A.T)
 
 
+def dense_from_values(kern):
+    """The n x n matrix sqrt(w_i) f[|i - j|] sqrt(w_j) of a kernel's values, symmetrised.
+
+    The spectral oracle of the parity split: the outer-difference build rounds
+    ``x_i - x_j`` differently from ``|i - j| h``, which alone moves its
+    spectrum by up to 2.8e-13 at R = 5, n_quad = 1023.
+    """
+    i = np.arange(kern.values.size)
+    sw = np.sqrt(kern.weights)
+    A = sw[:, None] * kern.values[np.abs(i[:, None] - i[None, :])] * sw[None, :]
+    return 0.5 * (A + A.T)
+
+
 @pytest.mark.parametrize("n_quad", [64, 65, 127, 512, 1023])
 @pytest.mark.parametrize("R", [1.0, 2.0, 5.0])
 def test_donoho_stark_toeplitz_build_matches_outer_differences(R, n_quad):
-    A = donoho_stark_kernel(R, n_quad).matrix
+    kern = donoho_stark_kernel(R, n_quad)
+    assert kern.values.shape == (n_quad,)
+    A = dense_from_values(kern)
     oracle = outer_difference_kernel(R, n_quad)
     assert np.abs(A - oracle).max() <= 1e-13 * np.abs(oracle).max()
     assert np.array_equal(np.diag(A), np.diag(oracle))
-    assert np.array_equal(A, A.T)
-    assert np.array_equal(A, A[::-1, ::-1])
+    # mirror-symmetric weights make the matrix centrosymmetric, the parity split's premise
+    assert np.array_equal(kern.weights, kern.weights[::-1])
+    assert kern.trace() == pytest.approx(float(np.trace(oracle)), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_quad", [64, 65, 127, 512, 1023])
@@ -192,15 +211,16 @@ def test_donoho_stark_parity_split_matches_full_spectrum(R, n_quad):
     eigs = donoho_stark_eigs(kern)
     assert eigs.shape == (n_quad,)
     assert np.all(np.diff(eigs) >= 0)
-    assert np.abs(eigs - np.linalg.eigvalsh(kern.matrix)).max() <= 1e-14
+    assert np.abs(eigs - np.linalg.eigvalsh(dense_from_values(kern))).max() <= 1e-14
 
 
 def test_donoho_stark_eigs_rejects_a_matrix_that_is_not_centrosymmetric():
+    # the kernel values are Toeplitz by construction; only the weights can break the mirror
     kern = donoho_stark_kernel(1.0, 64)
-    matrix = kern.matrix.copy()
-    matrix[0, 1] = matrix[1, 0] = matrix[0, 1] * 1.5
+    weights = kern.weights.copy()
+    weights[0] *= 1.5
     with pytest.raises(ValueError, match="centrosymmetric"):
-        donoho_stark_eigs(DonohoStarkKernel(kern.R, kern.grid, kern.weights, matrix))
+        donoho_stark_eigs(DonohoStarkKernel(kern.R, kern.grid, weights, kern.values))
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0])

@@ -149,6 +149,21 @@ def test_lowerbound_rejects_bad_R(R, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lowerbound_refuses_blocks_over_the_mem_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HQOC_MEM_CAP_MB", raising=False)
+    out = tmp_path / "lb.json"
+    tracemalloc.start()
+    try:
+        code = main(["lowerbound", "--d", "4", "--R", "1", "--n-quad", "200000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "Donoho-Stark blocks need 160000 MB > cap 1024 MB" in capsys.readouterr().err
+    assert peak < 8 * 200_000  # not even the kernel's grid was built
+    assert not out.exists()
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--criteria", "11,12"]) == 0
     out = capsys.readouterr().out

@@ -355,6 +355,25 @@ def test_encoded_superposition_frequencies():
         assert abs(counts[k] - 3000) < 3 * math.sqrt(6000 * 0.25)
 
 
+def test_encode_state_sums_in_place():
+    # two 147,456-cell basis states: the running total beside the comb build's temporaries
+    lay, delta = EncodingLayout(n=2, m=1), 0.02
+    amplitudes = {(0, 0): 1.0, (1, 1): 1.0}
+    encode_state(amplitudes, lay, delta)  # first-call allocations of numpy
+    cells = pipeline.encoding_grid(lay, delta).n_points
+    assert cells == 147_456
+    tracemalloc.start()
+    try:
+        [state] = encode_state(amplitudes, lay, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 16 * cells
+    [a], [b] = (encode_basis_state(bits, lay, delta) for bits in amplitudes)
+    want = a.amps + b.amps
+    assert np.array_equal(state.amps, want / np.linalg.norm(want))
+
+
 def test_prep_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_prep_circuit(0, 0.1)
@@ -382,6 +401,20 @@ def test_run_caps_shot_arrays_before_encoding():
         tracemalloc.stop()
     assert peak < 1e6  # raised before the grid or any shot array was allocated
     assert run_sampling_scheme(u, 2, 1, 0.05, 10**5, 0, mem_cap_mb=20).samples.shape == (10**5, 2)
+
+
+def test_run_rejects_an_inadmissible_delta_before_sampling(monkeypatch):
+    # n=16, m=4 has ell=4, so delta must be <= 2^-5; 0.05 is not
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(1)
+        return homodyne_sample(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "homodyne_sample", counting_sample)
+    with pytest.raises(ValueError, match=re.escape("delta <= 2^-(ell+1)")):
+        run_sampling_scheme(Circuit(0, 16, ()), 16, 4, 0.05, 1000, 0)
+    assert calls == []
 
 
 def test_m2_share_of_1001_is_the_product_of_the_mode_probabilities():

@@ -554,6 +554,23 @@ def test_homodyne_sample_reads_only_sampled_positions():
         assert np.array_equal(ys, want_ys) and np.array_equal(zs, want_zs)
 
 
+def test_homodyne_sample_holds_24_bytes_a_shot():
+    from hqoc.pipeline import EncodingLayout, encode_mode
+
+    st = encode_mode(EncodingLayout(n=16, m=8), 0.05, 0)  # one 18,432-cell mode
+    homodyne_sample(st, 1000, seed=0)  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        ys, zs = homodyne_sample(st, 10**6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # uniforms or flat indices, cell indices and outcomes: 24 MB, plus the 0.15 MB density
+    assert peak <= 25e6
+    want_ys, want_zs = _sample_with_grid_xs(st, 10**6, 5)
+    assert np.array_equal(ys, want_ys) and np.array_equal(zs, want_zs)
+
+
 def test_inner_product_conjugate_symmetry():
     v = make_vacuum()
     a = apply_gate(v, disp_q(0, 0.3))
