@@ -11,8 +11,9 @@ internals are not expanded; they carry declared analysis parameters
 Each kind has one record in :data:`KINDS`: its JSON fields, the quadrature a
 displacement moves and whether it is qubit-controlled.  Validation,
 serialization, adjoints, the analyser's window maps, bounded-strength
-substitution and the simulator's kernels all read that record, so ``KINDS`` is
-the one place to add a kind.
+substitution and the simulator's kernels all read that record.  Only JSON
+decoding (:func:`gate_from_dict`) has a branch per kind, one constructor call
+each, because it runs once per gate of every parsed circuit.
 
 Gate lists are stored in application order: ``gates[0]`` is applied first
 (an operator product ``U_T ... U_1`` is stored as ``[U_1, ..., U_T]``).
@@ -31,7 +32,7 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,13 +43,12 @@ class GateKind:
 
     ``shifts`` is ``"x"`` for ``e^{-itP}`` (a translation in position) and
     ``"p"`` for ``e^{itQ}`` (a translation in momentum); ``None`` for
-    non-displacements.  ``defaults`` holds the fields a document may omit.
+    non-displacements.
     """
 
     fields: tuple[str, ...]
     shifts: str | None = None
     controlled: bool = False
-    defaults: dict = field(default_factory=dict)
 
 
 KINDS: dict[str, GateKind] = {
@@ -59,10 +59,8 @@ KINDS: dict[str, GateKind] = {
     "squeeze": GateKind(("mode", "alpha")),
     # plus exactly one of ``name`` or ``matrix``
     "qubit_gate": GateKind(("qubits",)),
-    "blackbox": GateKind(
-        ("modes", "qubits", "g_bar", "xi_bar", "eta", "size"),
-        defaults={"qubits": (), "eta": 1.0, "size": None},
-    ),
+    # a document may omit qubits, eta and size
+    "blackbox": GateKind(("modes", "qubits", "g_bar", "xi_bar", "eta", "size")),
 }
 
 GATE_KINDS = tuple(KINDS)
@@ -406,18 +404,30 @@ def gate_to_dict(g: Gate) -> dict:
     return d
 
 
-# JSON decoders of the integer fields; every other field is a float.
-_DECODERS = {"mode": _index, "qubit": _index, "modes": _indices, "qubits": _indices, "size": _index}
+def _maybe(decode, v):
+    """``decode(v)``, or None for a JSON null, which validation then reports by field."""
+    return None if v is None else decode(v)
 
 
 def gate_from_dict(d: dict, pos: int) -> Gate:
+    """One gate from its JSON object, decoded by one constructor call per kind.
+
+    Fields are read and decoded in ``KINDS[kind].fields`` order, so the first
+    missing or malformed one is the one reported.
+    """
     if not isinstance(d, dict) or "kind" not in d:
         raise CircuitError(f"gate object missing 'kind' at gate {pos}", pos)
     kind = d["kind"]
-    spec = KINDS.get(kind) if isinstance(kind, str) else None
-    if spec is None:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise CircuitError(f"unknown gate kind {kind!r} at gate {pos}", pos)
     try:
+        if kind == "disp_q" or kind == "disp_p":
+            return Gate(kind, mode=_maybe(_index, d["mode"]), t=_maybe(float, d["t"]))
+        if kind == "ctrl_disp_q" or kind == "ctrl_disp_p":
+            return Gate(kind, mode=_maybe(_index, d["mode"]), qubit=_maybe(_index, d["qubit"]),
+                        t=_maybe(float, d["t"]))
+        if kind == "squeeze":
+            return Gate(kind, mode=_maybe(_index, d["mode"]), alpha=_maybe(float, d["alpha"]))
         if kind == "qubit_gate":
             qubits = d.get("qubits", d.get("qubit"))
             if qubits is None:
@@ -426,11 +436,15 @@ def gate_from_dict(d: dict, pos: int) -> Gate:
                 return qubit_gate(d["name"], qubits)
             mat = [[complex(re, im) for re, im in row] for row in d["matrix"]]
             return qubit_gate(mat, qubits)
-        values = {}
-        for f in spec.fields:
-            v = d[f] if f in d else spec.defaults[f]
-            values[f] = None if v is None else _DECODERS.get(f, float)(v)
-        return Gate(kind, **values)
+        return Gate(  # blackbox
+            kind,
+            modes=_maybe(_indices, d["modes"]),
+            qubits=_maybe(_indices, d.get("qubits", ())),
+            g_bar=_maybe(float, d["g_bar"]),
+            xi_bar=_maybe(float, d["xi_bar"]),
+            eta=_maybe(float, d.get("eta", 1.0)),
+            size=_maybe(_index, d.get("size")),
+        )
     except KeyError as exc:
         raise CircuitError(
             f"missing field {exc.args[0]!r} for {kind!r} at gate {pos}", pos

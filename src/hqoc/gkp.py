@@ -168,31 +168,44 @@ def comb_wavefunction(
     return HybridState(1, 0, (grid,), amps)
 
 
+def _window_cells(grid: GridSpec, lo: np.ndarray, hi: np.ndarray, pad: int = 0):
+    """Cells ``[cell_index(lo) - pad, cell_index(hi) + pad)`` of each window, window after window.
+
+    Returns the cell indices and the number of cells in each window.
+    """
+    first = np.maximum(grid.cell_index(lo) - pad, 0)
+    counts = np.maximum(np.minimum(grid.cell_index(hi) + pad, grid.n_points) - first, 0)
+    starts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(first - starts, counts), counts
+
+
 def _truncated_peaks(
     grid: GridSpec, shift: float, scale: float, delta: float, eps: float, L: int
 ) -> np.ndarray:
     """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1.
 
-    ``u = (x - shift) / scale`` over the cells x of ``grid``.  ``u``, the
-    offset ``w = u - z`` and then the Gaussian share one float buffer, and
-    ``z`` is freed before the complex cast.
+    ``u = (x - shift) / scale`` over the cells x of ``grid``.  Only the cells
+    of each peak's window (its support, padded by a cell on each side) are
+    computed, with the same float steps as over the whole grid; the Gaussian
+    is evaluated on those inside a peak and written into one zeroed array.
     """
-    w = grid.xs  # u, then w = u - z, then the Gaussian
+    centres = scale * np.arange(-L // 2, L // 2) + shift
+    cells, _ = _window_cells(grid, centres - scale * eps, centres + scale * eps, pad=1)
+    w = grid.xs_at(cells)  # u, then w = u - z, then the Gaussian
     w -= shift
     w /= scale
     z = np.rint(w)
     w -= z
-    inside = (z >= -L // 2) & (z <= L // 2 - 1)
-    del z
-    inside &= np.abs(w) < eps
+    inside = (z >= -L // 2) & (z <= L // 2 - 1) & (np.abs(w) < eps)
+    cells, w = cells[inside], w[inside]
     np.square(w, out=w)
     np.negative(w, out=w)
     w /= 2 * delta ** 2
     np.exp(w, out=w)
-    w[~inside] = 0.0
     if not w.any():
         raise GridError("comb support does not intersect the grid")
-    amps = w.astype(complex)
+    amps = np.zeros(grid.n_points, dtype=complex)
+    amps[cells] = w
     amps /= np.linalg.norm(amps)
     return amps
 
@@ -200,16 +213,16 @@ def _truncated_peaks(
 def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> HybridState:
     """``|Sha_{L,Delta}>``: full (untruncated) Gaussians at L integer centers.
 
-    Each Gaussian is evaluated only within ``EXP_UNDERFLOW_REACH`` widths of
-    its centre; the peaks are still added in order, so the result equals the
-    full-grid sum bit for bit.
+    Each Gaussian is evaluated only on the cells within ``EXP_UNDERFLOW_REACH``
+    widths of its centre, all peaks in one array, and ``np.add.at`` adds them
+    into each cell in ascending z: the full-grid sum bit for bit, since a
+    peak out of reach adds an exact 0.
     """
-    xs = grid.xs
+    zs = np.arange(-L // 2, L // 2)
     reach = delta * EXP_UNDERFLOW_REACH
+    cells, counts = _window_cells(grid, zs - reach, zs + reach)
     psi = np.zeros(grid.n_points)
-    for z in range(-L // 2, L // 2):
-        lo, hi = np.searchsorted(xs, (z - reach, z + reach))
-        psi[lo:hi] += np.exp(-((xs[lo:hi] - z) ** 2) / (2 * delta ** 2))
+    np.add.at(psi, cells, np.exp(-((grid.xs_at(cells) - np.repeat(zs, counts)) ** 2) / (2 * delta ** 2)))
     amps = psi.astype(complex)
     nrm = np.linalg.norm(amps)
     if nrm == 0:

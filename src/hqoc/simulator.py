@@ -21,7 +21,7 @@ Gate kernels:
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
   interpolation; legal because the gate set has no controlled squeezing, so
   ``dx`` is global per mode);
-* qubit gates: dense 2x2 / 4x4 action on the qubit axes;
+* qubit gates: 2x2 / 4x4 ``matmul`` on the qubit axes;
 * controlled displacements act on the control-bit-1 qubit branches only.
 
 Both displacement phases are linear in the cell index and are built from two
@@ -30,7 +30,29 @@ amplitudes in place: :func:`apply_circuit` copies the input amplitudes once
 and runs every gate on that one private copy, so the caller's state is never
 written; :func:`apply_gate` is that copy plus one in-place gate.  The state
 handed to an ``apply_circuit`` callback is the live working state, valid
-until the callback returns: copy it to keep it.
+until the callback returns: copy it to keep it, and do not write it.
+
+Occupied blocks.  Mode 0's axis is cut into blocks of one ``_linear_phase``
+table row (at least two cells; 256 on the 147,456-point code-prep grid).
+:func:`apply_circuit` reads once which blocks hold a nonzero amplitude and
+keeps their runs (maximal stretches of occupied blocks) from gate to gate in
+an :class:`_Occupancy`; every amplitude outside the runs is exactly 0, and
+the kernels touch only the runs:
+
+* the private copy is the runs written into a zeroed array;
+* a phase multiplies each run by the phases of its own table rows;
+* a qubit gate writes each run's product into a spare array, whose blocks
+  left from its last use are zeroed first; the live and spare arrays swap;
+* a whole-cell shift whose runs stay inside the grid moves each run in place,
+  runs in the shift's direction first, and zeroes the cells it vacates; a
+  controlled shift adds the moved runs to the old ones;
+* a shift whose runs would cross an edge, a fractional (Fourier) shift and a
+  fully occupied axis run the whole-axis kernel above on one full run, after
+  which the axis counts as full; shifts of other modes act within each run.
+
+The values equal the whole-array kernels' exactly (a whole-array product can
+write -0.0 where the runs leave +0.0).  The overflow guard, the callback
+contract and the wrap behaviour are unchanged.
 
 Vacuum convention: ``psi(x) = pi^{-1/4} e^{-x^2/2}``, i.e.
 ``<Q^2> = <P^2> = 1/2`` and energy ``<Q^2 + P^2> = 1``.
@@ -65,14 +87,17 @@ DEFAULT_MEM_CAP_MB = 1024.0
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
 # ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state,
-# its private copy and one transient of the same size (a shift's roll or its
-# forward or inverse transform, or a qubit gate's product), i.e. 3 copies; the
-# FFT plan, the O(sqrt n) phase tables and, outside the kernels, the float
-# temporaries of comb building (1.56 copies) and sampling come on top.
-# Measured ``tracemalloc`` peaks: 2.01 for vacuum plus ``apply_circuit`` of
-# the comb prep (n=8, Delta=0.02; 36,864 points), 2.00 for
-# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a mode's private copy and its
-# shift's roll, the comb it copied already freed).  Rounded up to 4.
+# its private copy and the spare array its qubit gates write into (or, on the
+# whole-axis path, a shift's roll or transform), i.e. 3 copies; the phases of
+# the occupied cells (half a copy with one qubit), a moved run's buffer, the
+# FFT plan and, outside the kernels, the float temporaries of comb building
+# (1.36 copies) and sampling come on top.  Measured ``tracemalloc`` peaks:
+# 2.62 for vacuum plus ``apply_circuit`` of the comb prep (n=8, Delta=0.02;
+# 36,864 points; the vacuum is freed once copied, then the private copy, the
+# spare and a phase vector), 2.45 for the code prep (l=1; 147,456 points),
+# 2.04 for ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a mode's private
+# copy and its shift's roll, the comb it copied already freed).  Rounded up
+# to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -117,7 +142,26 @@ class GridSpec:
 
     @property
     def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n_points)
+        return self.xs_at(np.arange(self.n_points))
+
+    def xs_at(self, cells: np.ndarray) -> np.ndarray:
+        """Positions of the given cells, equal to ``xs[cells]`` bit for bit."""
+        return self.x0 + self.dx * cells
+
+    def cell_index(self, x) -> np.ndarray:
+        """``np.searchsorted(xs, x)``, the first cell at or past each ``x``, without ``xs``.
+
+        The estimate ``ceil((x - x0) / dx)`` steps one cell at a time until the
+        float positions of the cells on either side bracket ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.ceil((x - self.x0) / self.dx), 0, self.n_points).astype(np.int64)
+        while True:
+            down = (i > 0) & (self.xs_at(i - 1) >= x)
+            up = (i < self.n_points) & (self.xs_at(i) < x)
+            if not (down.any() or up.any()):
+                return i
+            i = i - down + up
 
     @property
     def extent(self) -> float:
@@ -196,17 +240,16 @@ def vacuum_state(m: int, r: int, grids) -> HybridState:
     """Product of vacuum Gaussians, qubits at |0...0>.
 
     Each Gaussian is evaluated only on the cells with
-    ``|x| <= EXP_UNDERFLOW_REACH``, and the product is written into the
-    |0...0> branch of one zeroed array.
+    ``|x| <= EXP_UNDERFLOW_REACH``, found by :meth:`GridSpec.cell_index`, and
+    the product is written into the |0...0> branch of one zeroed array.
     """
     grids = tuple(grids)
     if len(grids) != m:
         raise GridError(f"need {m} grids, got {len(grids)}")
     support, block = [], np.ones((), dtype=complex)
     for g in grids:
-        xs = g.xs
-        lo, hi = np.searchsorted(xs, (-EXP_UNDERFLOW_REACH, EXP_UNDERFLOW_REACH))
-        psi = np.exp(-xs[lo:hi] ** 2 / 2.0).astype(complex)
+        lo, hi = g.cell_index((-EXP_UNDERFLOW_REACH, EXP_UNDERFLOW_REACH)).tolist()
+        psi = np.exp(-g.xs_at(np.arange(lo, hi)) ** 2 / 2.0).astype(complex)
         nrm = np.linalg.norm(psi)
         if nrm == 0:
             raise GridError("grid too small to hold the vacuum state")
@@ -221,17 +264,12 @@ def vacuum_state(m: int, r: int, grids) -> HybridState:
     return state
 
 
-def _apply_qubit_matrix(amps: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest)."""
-    k = len(axes)
-    moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
-    lead = moved.shape[: amps.ndim - k]
-    flat = moved.reshape(lead + (2 ** k,))
-    flat = flat @ mat.T
-    return np.moveaxis(flat.reshape(moved.shape), range(amps.ndim - k, amps.ndim), axes)
+def _phase_row(n: int) -> int:
+    """Row width ``b`` of :func:`_linear_phase`'s tables on ``n`` cells."""
+    return 1 << min((n.bit_length() - 1) // 2, (n & -n).bit_length() - 2)
 
 
-def _linear_phase(v0: float, step: float, n: int, fft_order: bool = False) -> np.ndarray:
+def _linear_phase(v0: float, step: float, n: int, fft_order: bool = False, rows=None) -> np.ndarray:
     """``exp(i (v0 + step k))`` for the cells k of a grid of ``n = m 2^k`` points.
 
     The outer product ``hi[a] lo[j]`` of two ~sqrt(n) ``exp`` tables, with
@@ -239,15 +277,121 @@ def _linear_phase(v0: float, step: float, n: int, fft_order: bool = False) -> np
     largest power of two that is at most sqrt(n) and divides ``n / 2``, so the
     ``n / b`` rows split evenly in half.  With ``fft_order`` k runs over the FFT
     ordering (0, ..., n/2 - 1, -n/2, ..., -1) of :attr:`GridSpec.momenta`,
-    which only reorders the rows of ``hi``.
+    which only reorders the rows of ``hi``.  ``rows`` (ascending) keeps only
+    those rows: the phases of their cells, one row after the other.
     """
-    b = 1 << min((n.bit_length() - 1) // 2, (n & -n).bit_length() - 2)
-    rows = np.arange(n // b)
-    if fft_order:
-        rows[len(rows) // 2 :] -= len(rows)
+    b = _phase_row(n)
+    if rows is None:
+        rows = np.arange(n // b)
+        if fft_order:
+            rows[len(rows) // 2 :] -= len(rows)
     hi = np.exp(1j * (v0 + step * b * rows))
     lo = np.exp(1j * step * np.arange(b))
     return np.multiply.outer(hi, lo).ravel()
+
+
+def _runs(blocks: np.ndarray, b: int) -> list[tuple[int, int]]:
+    """Cell ranges ``[lo, hi)`` of the maximal runs of true blocks of ``b`` cells."""
+    padded = np.zeros(len(blocks) + 2, dtype=bool)
+    padded[1:-1] = blocks
+    edges = (np.flatnonzero(padded[1:] != padded[:-1]) * b).tolist()
+    return list(zip(edges[::2], edges[1::2]))
+
+
+class _Occupancy:
+    """Blocks of mode 0's axis that may hold amplitude; every other amplitude is exactly 0.
+
+    Read once from the amplitudes, then kept from gate to gate.  ``runs`` are
+    the occupied blocks as cell ranges; ``full`` says they are the whole axis.
+    ``live`` is the C-ordered array that ``state.amps`` views; ``spare`` is a
+    second one for the qubit gates to write into, 0 outside ``spare_blocks``.
+    """
+
+    def __init__(self, state: HybridState):
+        if state.m:
+            n = state.grids[0].n_points
+            self.b = max(2, _phase_row(n))  # whole table rows, and two cells for matmul
+            blocks = state.amps.reshape(n // self.b, -1).any(axis=1)
+        else:  # no mode axis: the whole array is one block
+            self.b = state.amps.size
+            blocks = np.ones(1, dtype=bool)
+        self._set(blocks)
+        self.live, self.spare, self.spare_blocks = None, None, None
+
+    def private_copy(self, state: HybridState) -> HybridState:
+        """A copy of ``state`` that becomes ``live``: its runs written into a zeroed array."""
+        amps = np.zeros(state.amps.shape, dtype=complex)
+        for lo, hi in self.runs:
+            amps[lo:hi] = state.amps[lo:hi]
+        self.live = amps
+        return HybridState(state.m, state.r, state.grids, amps)
+
+    def _set(self, blocks: np.ndarray) -> None:
+        self.blocks = blocks
+        self.runs = _runs(blocks, self.b)
+        self.full = self.runs == [(0, blocks.size * self.b)]
+
+    def fill(self) -> None:
+        if not self.full:
+            self.blocks = np.ones_like(self.blocks)
+            self.runs, self.full = [(0, self.blocks.size * self.b)], True
+
+    def shift(self, view: np.ndarray, cells: int, controlled: bool) -> bool:
+        """Shift the runs of ``view`` by ``cells`` along mode 0 in place, and the blocks with them.
+
+        Runs go in the shift's direction first, so no source is overwritten
+        before it is read, and the cells they vacate are zeroed; a
+        ``controlled`` shift keeps the old blocks too (the other branch stays).
+        Returns False, changing nothing, when an occupied block would leave
+        the axis.
+        """
+        if self.full:
+            return False
+        occupied = np.flatnonzero(self.blocks)
+        if not occupied.size:
+            return True
+        q, s = divmod(cells, self.b)
+        if occupied[0] + q < 0 or occupied[-1] + q + (s > 0) >= len(self.blocks):
+            return False
+        for lo, hi in reversed(self.runs) if cells > 0 else self.runs:
+            view[lo + cells : hi + cells] = view[lo:hi]
+            if cells > 0:
+                view[lo : min(hi, lo + cells)] = 0
+            else:
+                view[max(lo, hi + cells) : hi] = 0
+        blocks = self.blocks.copy() if controlled else np.zeros_like(self.blocks)
+        blocks[occupied + q] = True
+        if s:
+            blocks[occupied + q + 1] = True
+        self._set(blocks)
+        return True
+
+
+def _apply_qubit_matrix(state: HybridState, mat: np.ndarray, axes: tuple[int, ...], occ: _Occupancy) -> None:
+    """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest), run by run.
+
+    Each run's product is written straight into ``occ.spare``, whose blocks
+    that held amplitude and lie outside the runs are zeroed first; the live
+    array then becomes the spare.  A run holds at least two cells, so each
+    ``matmul`` takes the BLAS path of one over the whole array, bit for bit.
+    """
+    amps, k = state.amps, len(axes)
+    trailing = range(amps.ndim - k, amps.ndim)
+    moved = np.moveaxis(amps, axes, trailing)
+    lead = moved.shape[: amps.ndim - k]
+    shape = (lead[:1] or (1,)) + lead[1:] + (2 ** k,)  # no mode and r = k: one row
+    if occ.spare is None:
+        out = np.zeros(shape, dtype=complex)
+    else:
+        out = occ.spare.reshape(shape)
+        if not occ.full:  # blocks the spare held that no run covers now
+            for lo, hi in _runs(occ.spare_blocks & ~occ.blocks, occ.b):
+                out[lo:hi] = 0
+    mt = mat.T
+    for lo, hi in occ.runs:
+        np.matmul(moved[lo:hi].reshape((-1,) + shape[1:]), mt, out=out[lo:hi])
+    occ.spare, occ.spare_blocks, occ.live = occ.live, occ.blocks, out
+    state.amps = np.moveaxis(out.reshape(moved.shape), trailing, axes)
 
 
 def _momentum_phase(grid: GridSpec, t: float) -> np.ndarray:
@@ -264,19 +408,20 @@ def _whole_cells(t: float, dx: float, n: int) -> int | None:
     return None
 
 
-def _apply_inplace(state: HybridState, g: Gate) -> None:
+def _apply_inplace(state: HybridState, g: Gate, occ: _Occupancy) -> None:
     """Apply one elementary gate to ``state``, overwriting its amplitudes and grids.
 
-    Displacements write into the (branch) view of ``state.amps``; a qubit gate
-    and a squeezer replace ``state.amps`` / ``state.grids``.  Raises
-    ``GridOverflowError`` when a shift leaves mass on the edge cells (not when it
-    jumps past them), and ``GridError`` when a squeezer leaves a non-finite grid.
+    The gate touches only the runs of ``occ``, the :class:`_Occupancy` of
+    ``state``, and updates it.  Displacements write into the (branch) view of
+    ``state.amps``; a qubit gate and a squeezer replace ``state.amps`` /
+    ``state.grids``.  Raises ``GridOverflowError`` when a shift leaves mass on
+    the edge cells (not when it jumps past them), and ``GridError`` when a
+    squeezer leaves a non-finite grid.
     """
     if g.kind == "blackbox":
         raise AnalysisError("blackbox nodes cannot be simulated")
     if g.kind == "qubit_gate":
-        axes = tuple(state.m + q for q in g.qubits)
-        state.amps = _apply_qubit_matrix(state.amps, gate_matrix(g), axes)
+        _apply_qubit_matrix(state, gate_matrix(g), tuple(state.m + q for q in g.qubits), occ)
         return
 
     grid = state.grids[g.mode]
@@ -292,23 +437,43 @@ def _apply_inplace(state: HybridState, g: Gate) -> None:
         view = view[(slice(None),) * (state.m + g.qubit) + (1,)]
     shape = [1] * view.ndim
     shape[g.mode] = grid.n_points
+    runs = occ.runs
     if spec.shifts == "p":
-        view *= _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points).reshape(shape)
+        if g.mode == 0:  # the phases of the runs' own table rows, run after run
+            rows = None if occ.full else np.flatnonzero(np.repeat(occ.blocks, occ.b // _phase_row(grid.n_points)))
+            phase = _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points, rows=rows)
+            end = 0
+            for lo, hi in runs:
+                shape[0] = hi - lo
+                view[lo:hi] *= phase[end : end + hi - lo].reshape(shape)
+                end += hi - lo
+        else:
+            phase = _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points).reshape(shape)
+            for lo, hi in runs:
+                view[lo:hi] *= phase
         return
     cells = _whole_cells(g.t, grid.dx, grid.n_points)
-    if cells is not None:
-        view[...] = np.roll(view, cells, axis=g.mode)
-    else:
-        view[...] = np.fft.fft(view, axis=g.mode, norm="ortho")
-        view *= _momentum_phase(grid, g.t).reshape(shape)
-        view[...] = np.fft.ifft(view, axis=g.mode, norm="ortho")
+    if cells is not None and g.mode != 0:
+        for lo, hi in runs:
+            run = view[lo:hi]
+            run[...] = np.roll(run, cells, axis=g.mode)
+    elif cells is None or not occ.shift(view, cells, spec.controlled):
+        # a fractional shift, or a run would cross an edge: the whole axis
+        if cells is not None:
+            view[...] = np.roll(view, cells, axis=g.mode)
+        else:
+            view[...] = np.fft.fft(view, axis=g.mode, norm="ortho")
+            view *= _momentum_phase(grid, g.t).reshape(shape)
+            view[...] = np.fft.ifft(view, axis=g.mode, norm="ortho")
+        occ.fill()
     _check_overflow(state)
 
 
 def apply_gate(state: HybridState, g: Gate) -> HybridState:
     """Apply one elementary gate, returning a new state (blackboxes rejected)."""
-    out = state.copy()
-    _apply_inplace(out, g)
+    occ = _Occupancy(state)
+    out = occ.private_copy(state)
+    _apply_inplace(out, g, occ)
     return out
 
 
@@ -330,10 +495,11 @@ def apply_circuit(state: HybridState, c: Circuit, callback=None) -> HybridState:
     """
     if c.m != state.m or c.r != state.r:
         raise ValueError("circuit and state shapes disagree")
-    state = state.copy()
+    occ = _Occupancy(state)
+    state = occ.private_copy(state)
     for i, g in enumerate(c.gates, start=1):
         try:
-            _apply_inplace(state, g)
+            _apply_inplace(state, g, occ)
         except GridError as exc:
             raise type(exc)(f"{exc} at gate {i}") from exc
         if callback is not None:
@@ -545,7 +711,11 @@ def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> No
 
 
 def state_dump(state: HybridState) -> dict:
-    """JSON-ready dump of a one-mode state: (x, Re psi, Im psi) per qubit branch."""
+    """JSON-ready dump of a one-mode state: (x, Re psi, Im psi) per qubit branch.
+
+    Every zero is written as ``0.0``: the sign of an exact zero depends on
+    which kernel wrote the cell, not on the state.
+    """
     if state.m != 1:
         raise ValueError("state dumps are defined for one-mode states")
     grid = state.grids[0]
@@ -555,7 +725,7 @@ def state_dump(state: HybridState) -> dict:
     flat = state.amps.reshape(grid.n_points, -1)
     for b in range(flat.shape[1]):
         label = format(b, f"0{state.r}b") if state.r else "0"
-        psi = flat[:, b] * scale
+        psi = flat[:, b] * scale + 0.0  # -0.0 + 0.0 is +0.0
         branches[label] = [
             [float(x), float(v.real), float(v.imag)] for x, v in zip(xs, psi)
         ]

@@ -124,26 +124,33 @@ class RegimeRow:
     growth_class: str
 
 
+def _fit_residuals(ns, ys, betas) -> np.ndarray:
+    """Least-squares residual of y ~ a + b n^beta for each beta, all at once.
+
+    For fixed beta the best line through (x, y) = (n^beta, y) has slope
+    ``b = <xc, yc> / <xc, xc>`` on the centred values, and residual
+    ``sum (b xc - yc)^2``; a constant x (``<xc, xc> = 0``) fits ``b = 0``.
+    """
+    xc = ns ** np.asarray(betas, dtype=float)[:, None]
+    xc -= xc.mean(axis=1, keepdims=True)
+    yc = ys - ys.mean()
+    sxx = np.einsum("ij,ij->i", xc, xc)
+    b = np.divide(xc @ yc, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    return ((b[:, None] * xc - yc) ** 2).sum(axis=1)
+
+
 def _fit_power_exponent(ns, ys) -> float:
-    """Least-squares exponent beta of y ~ a + b n^beta."""
+    """Least-squares exponent beta of y ~ a + b n^beta: grid search, then ternary refinement."""
     ns = np.asarray(ns, dtype=float)
     ys = np.asarray(ys, dtype=float)
-
-    def residual(beta: float) -> float:
-        x = ns ** beta
-        A = np.stack([np.ones_like(x), x], axis=1)
-        coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        return float(np.sum((A @ coef - ys) ** 2))
-
     betas = np.linspace(0.02, 1.4, 277)
-    errs = [residual(b) for b in betas]
-    best = betas[int(np.argmin(errs))]
-    # local refinement
+    best = betas[int(np.argmin(_fit_residuals(ns, ys, betas)))]
     lo, hi = max(0.01, best - 0.01), best + 0.01
     for _ in range(40):
         mid1 = lo + (hi - lo) / 3
         mid2 = hi - (hi - lo) / 3
-        if residual(mid1) < residual(mid2):
+        r1, r2 = _fit_residuals(ns, ys, (mid1, mid2))
+        if r1 < r2:
             hi = mid2
         else:
             lo = mid1

@@ -79,10 +79,10 @@ def test_criterion_5_runs_one_fft_per_checked_prefix(monkeypatch):
         calls["fft"] += not calls["in_gate"]
         return fft(*args, **kwargs)
 
-    def gate(state, g):
+    def gate(*args):
         calls["in_gate"] = True
         try:
-            apply_inplace(state, g)
+            apply_inplace(*args)
         finally:
             calls["in_gate"] = False
 

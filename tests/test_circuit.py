@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +255,112 @@ def test_size_counts_blackbox_declared_sizes():
     )
     assert c.size == 37
     assert len(c) == 2
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_serialize_is_byte_identical():
+    gates = list(SAMPLE_GATES.values()) + [
+        qubit_gate(np.array([[0, 1j], [1j, 0]]), 0),
+        qubit_gate("CNOT", (1, 0)),
+        blackbox((0, 1), (), g_bar=3.0, xi_bar=0.0),
+    ]
+    for g in gates:
+        text = serialize_circuit(Circuit(2, 2, (g,)))
+        assert serialize_circuit(parse_circuit(text)) == text
+    w = _perfbench_workloads()
+    text = serialize_circuit(w.build_random_circuit(w.random_circuit_arrays(3)))
+    assert serialize_circuit(parse_circuit(text)) == text
+
+
+# (gate object, message) as the per-field decoder reported them: the first
+# missing or malformed field in KINDS order; a JSON null passes to validation
+MALFORMED_GATES = [
+    ({"kind": "disp_q", "t": 0.5},
+     "missing field 'mode' for 'disp_q' at gate 2"),
+    ({"kind": "disp_q", "mode": 0},
+     "missing field 't' for 'disp_q' at gate 2"),
+    ({"kind": "disp_q", "mode": None, "t": 0.5},
+     "mode index None is not an integer at gate 2"),
+    ({"kind": "disp_q", "mode": 0, "t": None},
+     "missing displacement strength t at gate 2"),
+    ({"kind": "disp_q", "mode": 0, "t": "x"},
+     "malformed gate at gate 2: could not convert string to float: 'x'"),
+    ({"kind": "disp_q", "mode": 1.5, "t": 0.5},
+     "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
+    ({"kind": "disp_q", "mode": True, "t": 0.5},
+     "malformed gate at gate 2: boolean True is not an index"),
+    ({"kind": "disp_q", "mode": "0", "t": 0.5},
+     "malformed gate at gate 2: 'str' object cannot be interpreted as an integer"),
+    ({"kind": "disp_p", "mode": 3, "t": 0.5},
+     "mode index out of range at gate 2"),
+    ({"kind": "disp_p", "mode": 0, "t": [1]},
+     "malformed gate at gate 2: float() argument must be a string or a real number, not 'list'"),
+    ({"kind": "disp_p", "mode": 1.5},
+     "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
+    ({"kind": "ctrl_disp_q", "mode": 0, "t": 0.5},
+     "missing field 'qubit' for 'ctrl_disp_q' at gate 2"),
+    ({"kind": "ctrl_disp_q", "mode": 0, "qubit": 5, "t": 0.5},
+     "qubit index out of range at gate 2"),
+    ({"kind": "ctrl_disp_p", "mode": 0, "qubit": None, "t": 0.5},
+     "qubit index None is not an integer at gate 2"),
+    ({"kind": "ctrl_disp_p", "mode": 0, "qubit": 0.0, "t": 0.5},
+     "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
+    ({"kind": "ctrl_disp_p", "qubit": 0, "t": 0.5},
+     "missing field 'mode' for 'ctrl_disp_p' at gate 2"),
+    ({"kind": "squeeze", "mode": 0},
+     "missing field 'alpha' for 'squeeze' at gate 2"),
+    ({"kind": "squeeze", "mode": 0, "alpha": -1},
+     "non-positive alpha at gate 2"),
+    ({"kind": "squeeze", "mode": 0, "alpha": None},
+     "non-positive alpha at gate 2"),
+    ({"kind": "squeeze", "mode": 0, "alpha": "two"},
+     "malformed gate at gate 2: could not convert string to float: 'two'"),
+    ({"kind": "qubit_gate", "name": "H"},
+     "missing field 'qubits' for 'qubit_gate' at gate 2"),
+    ({"kind": "qubit_gate", "name": "Q", "qubits": [0]},
+     "unknown qubit gate name 'Q' at gate 2"),
+    ({"kind": "qubit_gate", "qubits": [0]},
+     "missing field 'matrix' for 'qubit_gate' at gate 2"),
+    ({"kind": "qubit_gate", "name": "H", "qubits": [0.5]},
+     "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
+    ({"kind": "qubit_gate", "matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]], "qubits": [0]},
+     "non-unitary matrix at gate 2"),
+    ({"kind": "qubit_gate", "matrix": [[1, 0]], "qubits": [0]},
+     "malformed gate at gate 2: cannot unpack non-iterable int object"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0},
+     "missing field 'xi_bar' for 'blackbox' at gate 2"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": 1.0, "eta": None},
+     "blackbox requires eta > 0 at gate 2"),
+    ({"kind": "blackbox", "modes": [0.5], "g_bar": 2.0, "xi_bar": 1.0},
+     "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": 1.0, "size": 2.5},
+     "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 0.5, "xi_bar": 1.0},
+     "blackbox requires g_bar >= 1 at gate 2"),
+    ({"kind": "teleport", "mode": 0},
+     "unknown gate kind 'teleport' at gate 2"),
+    ({"kind": ["disp_q"], "mode": 0},
+     "unknown gate kind ['disp_q'] at gate 2"),
+    ({"mode": 0, "t": 1.0},
+     "gate object missing 'kind' at gate 2"),
+    ([1, 2],
+     "gate object missing 'kind' at gate 2"),
+]
+
+
+@pytest.mark.parametrize("gate,message", MALFORMED_GATES)
+def test_malformed_gate_messages(gate, message):
+    doc = {"m": 1, "r": 1, "gates": [squeeze(0, 2.0), gate]}
+    doc["gates"][0] = gate_to_dict(doc["gates"][0])
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(json.dumps(doc))
+    assert str(err.value) == message
+    assert err.value.position == 2

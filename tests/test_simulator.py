@@ -35,6 +35,7 @@ from hqoc.simulator import (
     homodyne_sample,
     inner_product,
     mode_marginals,
+    state_dump,
     trace_distance,
     vacuum_state,
 )
@@ -616,3 +617,14 @@ def test_mode_marginals_energy_is_bit_identical_to_separate_quadratures():
     energies, emax = energy_expectation(st)
     assert energies == old_energy_expectation(st)
     assert emax == max(energies)
+
+
+def test_state_dump_writes_zeros_without_sign():
+    # a whole-array phase turns zero cells into -0.0 where cos(t x) < 0; the dump does not show it
+    amps = make_vacuum().amps * np.exp(1j * 3.0 * GRID.xs)[:, None]
+    amps[::3] *= -0.0
+    assert np.any(np.signbit(amps.real) & (amps.real == 0)) and np.any(np.signbit(amps.imag) & (amps.imag == 0))
+    values = [v for branch in state_dump(HybridState(1, 1, [GRID], amps))["branches"].values()
+              for row in branch for v in row[1:]]
+    assert 0.0 in values
+    assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in values)

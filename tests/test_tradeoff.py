@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from hqoc.tradeoff import (
     DERIVED_CONSTANTS,
+    _fit_power_exponent,
+    _fit_residuals,
     implementation_energy_bound,
     log2_delta_max,
     log2_required_energy,
@@ -112,3 +115,51 @@ def test_input_validation():
         log2_required_energy(4, 2, 10, 3.0)
     with pytest.raises(ValueError):
         sampling_error_bound(4, 2, 10, energy=-1.0)
+
+
+def _lstsq_residual(ns, ys, beta):
+    """Reference: the residual of y ~ a + b n^beta from ``np.linalg.lstsq``."""
+    A = np.stack([np.ones_like(ns), ns ** beta], axis=1)
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    return float(np.sum((A @ coef - ys) ** 2))
+
+
+def _lstsq_fit(ns, ys):
+    """Reference fit: the same grid and ternary refinement on ``lstsq`` residuals."""
+    betas = np.linspace(0.02, 1.4, 277)
+    best = betas[int(np.argmin([_lstsq_residual(ns, ys, b) for b in betas]))]
+    lo, hi = max(0.01, best - 0.01), best + 0.01
+    for _ in range(40):
+        mid1, mid2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if _lstsq_residual(ns, ys, mid1) < _lstsq_residual(ns, ys, mid2):
+            hi = mid2
+        else:
+            lo = mid1
+    return (lo + hi) / 2
+
+
+def test_closed_form_fit_matches_lstsq():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        ns = np.unique(np.rint(2.0 ** rng.uniform(1, 11, size=int(rng.integers(3, 9)))))
+        beta0 = rng.uniform(0.05, 1.35)
+        ys = rng.uniform(-50, 50) + rng.uniform(0.5, 40) * ns ** beta0
+        ys += rng.normal(scale=1e-3 * np.ptp(ys), size=ys.size)
+        betas = rng.uniform(0.01, 1.42, 16)
+        got = _fit_residuals(ns, ys, betas)
+        want = np.array([_lstsq_residual(ns, ys, b) for b in betas])
+        assert np.all(np.abs(got - want) <= 1e-9 * float(np.sum((ys - ys.mean()) ** 2)))
+        # near the minimum both residuals are flat to rounding over the last
+        # brackets of the refinement (0.02 (2/3)^k wide), so the exponents agree
+        # to a few final brackets; criterion 10's rows agree to 1e-9 (below)
+        assert abs(_fit_power_exponent(ns, ys) - _lstsq_fit(ns, ys)) <= 1e-8
+    # a constant n^beta column (n all equal) fits the mean, like lstsq's minimum-norm solution
+    ns, ys = np.full(4, 3.0), np.array([1.0, 2.0, 4.0, 8.0])
+    assert _fit_residuals(ns, ys, [0.5])[0] == pytest.approx(_lstsq_residual(ns, ys, 0.5), rel=1e-12)
+
+
+def test_criterion_10_exponents_match_lstsq_fit():
+    ns = [16, 32, 64, 128, 256, 512, 1024]
+    for row in regime_table(ns, lambda n: n * n, lambda n: 1.0 / n):
+        ref = _lstsq_fit(np.asarray(ns, dtype=float), np.asarray(row.log2_energy))
+        assert abs(row.fitted_exponent - ref) <= 1e-9
