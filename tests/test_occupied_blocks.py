@@ -163,14 +163,14 @@ def block_circuits(draw):
 def test_block_kernels_match_dense_reference(case):
     state, c = case
     ref, overflow_at = _dense_prefixes(state, c.gates)
-    seen = []
+    seen = []  # kept as the callback contract says: st.copy()
     before = state.amps.copy()
     if overflow_at is None:
-        out = apply_circuit(state, c, callback=lambda i, s: seen.append(s.amps.copy()))
+        out = apply_circuit(state, c, callback=lambda i, s: seen.append(s.copy().amps))
         assert _same_values(out.amps, ref[-1])
     else:
         with pytest.raises(GridOverflowError, match=f"gate {overflow_at}$"):
-            apply_circuit(state, c, callback=lambda i, s: seen.append(s.amps.copy()))
+            apply_circuit(state, c, callback=lambda i, s: seen.append(s.copy().amps))
     assert np.array_equal(state.amps, before)  # the input is never written
     assert len(seen) == len(ref)
     for got, want in zip(seen, ref):  # the callback sees every dense prefix
