@@ -221,8 +221,9 @@ def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> Hybri
     zs = np.arange(-L // 2, L // 2)
     reach = delta * EXP_UNDERFLOW_REACH
     cells, counts = _window_cells(grid, zs - reach, zs + reach)
+    gauss = np.exp(-((grid.xs_at(cells) - np.repeat(zs, counts)) ** 2) / (2 * delta ** 2))
     psi = np.zeros(grid.n_points)
-    np.add.at(psi, cells, np.exp(-((grid.xs_at(cells) - np.repeat(zs, counts)) ** 2) / (2 * delta ** 2)))
+    np.add.at(psi, cells, gauss)
     amps = psi.astype(complex)
     nrm = np.linalg.norm(amps)
     if nrm == 0:

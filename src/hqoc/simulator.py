@@ -367,7 +367,9 @@ class _Occupancy:
         return True
 
 
-def _apply_qubit_matrix(state: HybridState, mat: np.ndarray, axes: tuple[int, ...], occ: _Occupancy) -> None:
+def _apply_qubit_matrix(
+    state: HybridState, mat: np.ndarray, axes: tuple[int, ...], occ: _Occupancy
+) -> None:
     """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest), run by run.
 
     Each run's product is written straight into ``occ.spare``, whose blocks
@@ -440,7 +442,8 @@ def _apply_inplace(state: HybridState, g: Gate, occ: _Occupancy) -> None:
     runs = occ.runs
     if spec.shifts == "p":
         if g.mode == 0:  # the phases of the runs' own table rows, run after run
-            rows = None if occ.full else np.flatnonzero(np.repeat(occ.blocks, occ.b // _phase_row(grid.n_points)))
+            per_block = occ.b // _phase_row(grid.n_points)
+            rows = None if occ.full else np.flatnonzero(np.repeat(occ.blocks, per_block))
             phase = _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points, rows=rows)
             end = 0
             for lo, hi in runs:
