@@ -43,6 +43,7 @@ from .moments import (
     substitute_bounded_strength,
 )
 from .pipeline import (
+    SIM_MARGIN,
     EncodingLayout,
     encode_basis_state,
     encode_state,
@@ -197,7 +198,7 @@ def criterion_5() -> CriterionResult:
     for _ in range(200):
         c = random_circuit(rng)
         bound = energy_upper_bound(circuit_params(c)).bound
-        grids = auto_grid(c, base_margin=0.3, mem_cap_mb=512)
+        grids = auto_grid(c, base_margin=SIM_MARGIN, mem_cap_mb=512)
         traj = circuit_window_trajectory(c, (-r0, r0, -r0, r0))
         state = vacuum_state(1, 1, grids)
         records = []
@@ -240,7 +241,7 @@ def criterion_6() -> CriterionResult:
             p = circuit_params(sub).per_mode[0]
             if p.xi_bar > 1.0 + 1e-12 or p.g_bar > theta ** 2 * (1.0 + 1e-12):
                 params_ok = False
-            grids = auto_grid(sub, base_margin=0.3)
+            grids = auto_grid(sub, base_margin=SIM_MARGIN)
             xs = grids[0].xs
             for _ in range(3):
                 x0, p0 = rng.uniform(-1, 1, size=2)
@@ -302,7 +303,7 @@ def criterion_9() -> CriterionResult:
     violations = 0
     for _ in range(100):
         c = random_circuit(rng, max_gates=8)
-        grids = auto_grid(c, base_margin=0.3, mem_cap_mb=512)
+        grids = auto_grid(c, base_margin=SIM_MARGIN, mem_cap_mb=512)
         st = apply_circuit(vacuum_state(1, 1, grids), c)
         radius = state_symradius(st, delta_tail)
         energy = energy_expectation(st)[1]

@@ -224,6 +224,15 @@ def target_modes(g: Gate) -> tuple[int, ...]:
     return (g.mode,)
 
 
+def mode_gates(c: Circuit) -> list[list[Gate]]:
+    """Each mode's gates in order, from one pass: the one place that files a gate under a mode."""
+    buckets: list[list[Gate]] = [[] for _ in range(c.m)]
+    for g in c.gates:
+        for a in target_modes(g):
+            buckets[a].append(g)
+    return buckets
+
+
 def _check_index(v, bound: int, what: str, pos: int) -> None:
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
         raise CircuitError(f"{what} index {v!r} is not an integer at gate {pos}", pos)
@@ -240,12 +249,12 @@ def _validate_gate(g: Gate, m: int, r: int, pos: int) -> None:
         _check_index(g.mode, m, "mode", pos)
     if "qubit" in fields:
         _check_index(g.qubit, r, "qubit", pos)
-    if "modes" in fields:
-        for a in g.modes:
-            _check_index(a, m, "mode", pos)
-    if "qubits" in fields:
-        for q in g.qubits:
-            _check_index(q, r, "qubit", pos)
+    for field, bound, what in (("modes", m, "mode"), ("qubits", r, "qubit")):
+        vs = getattr(g, field) if field in fields else ()
+        if vs is None:  # a JSON null
+            raise CircuitError(f"missing field {field!r} for {g.kind!r} at gate {pos}", pos)
+        for v in vs:
+            _check_index(v, bound, what, pos)
     if "t" in fields and (g.t is None or not math.isfinite(g.t)):
         raise CircuitError(f"missing displacement strength t at gate {pos}", pos)
     if "alpha" in fields and (g.alpha is None or not (g.alpha > 0) or not math.isfinite(g.alpha)):

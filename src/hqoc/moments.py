@@ -21,6 +21,11 @@ prefix log2-eta sums.  Blackbox nodes enter as opaque subcircuit factors whose
 prefix/suffix products are only known to lie within ``[1/g_bar, g_bar]``; the
 scan widens the reachable start/end levels accordingly (this reproduces the
 subcircuit composition bound, and is exact for elementary-only circuits).
+
+Which gates act on a mode is decided once, by :func:`circuit.mode_gates`: one
+pass files each gate under its :func:`circuit.target_modes`.  The per-mode
+scans here and in ``simulator.auto_grid`` walk only their mode's gates, so all
+modes together cost O(T + m), not O(T m).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .circuit import KINDS, Circuit, CircuitError, Gate, gate_params, squeeze, target_modes
+from .circuit import KINDS, Circuit, CircuitError, Gate, gate_params, mode_gates, squeeze, target_modes
 
 LOG2_168 = math.log2(168.0)
 
@@ -164,20 +169,8 @@ class CircuitMomentParams:
     xi_bar_max: float
 
 
-def _mode_items(c: Circuit, alpha: int):
-    """(log2 eta, xi, log2 g_bar excursion or None) per gate touching the mode."""
-    items = []
-    for g in c.gates:
-        if alpha not in target_modes(g):
-            continue
-        p = gate_params(g)
-        excursion = math.log2(g.g_bar) if g.kind == "blackbox" else None
-        items.append((math.log2(p.eta), p.xi, excursion))
-    return items
-
-
-def _scan_mode(items) -> ModeMomentParams:
-    """One left-to-right pass computing g_bar, xi_bar, net eta and offsets."""
+def _scan_mode(gates) -> ModeMomentParams:
+    """One left-to-right pass over a mode's gates: g_bar, xi_bar, net eta and offsets."""
     best = 0.0  # max |log2| over consecutive subproducts
     s = 0.0  # prefix sum of log2 eta
     lo = hi = 0.0  # reachable start levels seen so far
@@ -185,7 +178,10 @@ def _scan_mode(items) -> ModeMomentParams:
     has_blackbox = False
     v_fwd = 0.0  # composed forward offset:  v -> eta*v + xi
     v_bwd = 0.0  # composed backward offset: v -> v/eta + xi
-    for log2_eta, xi, excursion in items:
+    for g in gates:
+        p = gate_params(g)
+        log2_eta, xi = math.log2(p.eta), p.xi
+        excursion = math.log2(g.g_bar) if g.kind == "blackbox" else None
         if excursion is not None:
             has_blackbox = True
             # subproducts ending inside this node: end level in s -+ excursion
@@ -214,7 +210,7 @@ def _scan_mode(items) -> ModeMomentParams:
 
 def circuit_params(c: Circuit) -> CircuitMomentParams:
     """Per-mode (g_bar, xi_bar, eta, xi, xi_hat) and the circuit-level maxima."""
-    return _with_maxima(tuple(_scan_mode(_mode_items(c, a)) for a in range(c.m)))
+    return _with_maxima(tuple(_scan_mode(gates) for gates in mode_gates(c)))
 
 
 def _with_maxima(per_mode: tuple[ModeMomentParams, ...]) -> CircuitMomentParams:
@@ -234,9 +230,7 @@ def _with_maxima(per_mode: tuple[ModeMomentParams, ...]) -> CircuitMomentParams:
 
 def g_bar_brute_force(c: Circuit, alpha: int = 0) -> float:
     """O(T^2) reference: enumerate all consecutive eta subproducts."""
-    etas = [
-        gate_params(g).eta for g in c.gates if alpha in target_modes(g)
-    ]
+    etas = [gate_params(g).eta for g in mode_gates(c)[alpha]]
     if any(g.kind == "blackbox" for g in c.gates):
         raise AnalysisError("brute-force g_bar is defined for elementary circuits")
     best = 1.0
@@ -324,14 +318,10 @@ def energy_upper_bound(p: CircuitMomentParams) -> EnergyBoundDetail:
     )
 
 
-def analyze(c: Circuit) -> tuple[CircuitMomentParams, EnergyBoundDetail]:
-    params = circuit_params(c)
-    return params, energy_upper_bound(params)
-
-
 def analysis_report(c: Circuit) -> dict:
     """JSON-ready analysis report (per-mode parameters plus the energy bound)."""
-    params, energy = analyze(c)
+    params = circuit_params(c)
+    energy = energy_upper_bound(params)
     return {
         "per_mode": [
             {
@@ -354,7 +344,8 @@ def analysis_report(c: Circuit) -> dict:
 # -- window composition ----------------------------------------------------------
 
 
-def _require_elementary(c: Circuit) -> None:
+def require_elementary(c: Circuit) -> None:
+    """Raise ``AnalysisError`` naming the first blackbox, whose windows are undeclared."""
     for i, g in enumerate(c.gates, start=1):
         if g.kind == "blackbox":
             raise AnalysisError(
@@ -363,15 +354,10 @@ def _require_elementary(c: Circuit) -> None:
             )
 
 
-def circuit_window_trajectory(
-    c: Circuit, init: Window | list[Window]
-) -> list[list[Window]]:
-    """Windows per mode after every prefix (entry 0 is the initial window)."""
-    _require_elementary(c)
-    if isinstance(init, tuple):
-        windows = [init] * c.m
-    else:
-        windows = list(init)
+def circuit_window_trajectory(c: Circuit, init: Window) -> list[list[Window]]:
+    """Windows per mode after every prefix (entry 0 is ``init`` on every mode)."""
+    require_elementary(c)
+    windows = [init] * c.m
     out = [list(windows)]
     for g in c.gates:
         windows = list(windows)
@@ -448,14 +434,12 @@ def dressed_params(subcircuits) -> CircuitMomentParams:
         if v.kind != "qubit_gate":
             raise AnalysisError("dressed circuits require qubit-only inner gates")
         m = max(m, u.m)
+    scans = [circuit_params(u).per_mode for u, _v in subcircuits]
     per_mode = []
     for a in range(m):
         xi_bar = 0.0
         log2_g = 0.0
-        for u, _v in subcircuits:
-            if a >= u.m:
-                continue
-            p = _scan_mode(_mode_items(u, a))
+        for p in (scan[a] for scan in scans if a < len(scan)):
             xi_bar += 2.0 * p.xi_bar
             log2_g = max(log2_g, 2.0 * p.log2_g_bar)
         per_mode.append(

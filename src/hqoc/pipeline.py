@@ -60,7 +60,7 @@ from .simulator import (
     vacuum_state,
 )
 
-# Grid margin (``auto_grid`` ``base_margin``) of the preparation simulations.
+# Grid margin (``auto_grid`` ``base_margin``) of the preparation and acceptance simulations.
 SIM_MARGIN = 0.3
 
 

@@ -66,8 +66,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import KINDS, Circuit, Gate, gate_matrix
-from .moments import AnalysisError, Window, circuit_window_trajectory
+from .circuit import KINDS, Circuit, Gate, gate_matrix, mode_gates
+from .moments import AnalysisError, generator_mlf, require_elementary
 
 # Radius containing all but <= 1e-12 of the vacuum's position/momentum mass.
 VACUUM_TAIL_RADIUS = 5.1
@@ -608,17 +608,18 @@ def homodyne_sample(
 def auto_grid(
     c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
 ) -> list[GridSpec]:
-    """Size per-mode grids from the analyzer's window trajectory.
+    """Size per-mode grids from the analyzer's windows, walking each mode's gates once.
 
-    Starting from the vacuum's effective window (radius covering all but
-    1e-12 of the mass), the exact generator maps are composed through every
-    prefix.  The band ``dx`` keeps the largest momentum window inside the
-    Nyquist band ``[-pi/dx, pi/dx]``; ``n_req`` band cells cover the largest
-    position window, both widened by ``1 + base_margin``.  A grid of ``n``
-    points then has the fill ``dx``, the band ``dx`` shrunk until ``n`` cells
-    land exactly on that extent.  Returned grids refer to t=0: squeezers
-    rescale ``dx`` during simulation, and the per-prefix squeeze factors here
-    account for that.
+    From the vacuum's effective window (radius covering all but 1e-12 of the
+    mass), each mode's gates (``mode_gates``) compose the exact generator maps
+    into that mode's windows of ``circuit_window_trajectory``; a blackbox
+    raises ``AnalysisError`` naming its gate.  The band ``dx`` keeps the
+    largest momentum window inside the Nyquist band ``[-pi/dx, pi/dx]``;
+    ``n_req`` band cells cover the largest position window, both widened by
+    ``1 + base_margin``.  A grid of ``n`` points then has the fill ``dx``, the
+    band ``dx`` shrunk until ``n`` cells land exactly on that extent.
+    Returned grids refer to t=0: squeezers rescale ``dx`` during simulation,
+    and the squeeze factors of the walk account for that.
 
     Size and snap rule: the candidate sizes are, for each odd factor ``m`` in
     ``GRID_ODD_FACTORS``, the smallest ``m 2^k >= max(MIN_GRID_POINTS, n_req)``,
@@ -632,28 +633,25 @@ def auto_grid(
     ``dx`` (incommensurate shifts, a lone shift of less than one cell) the
     grid is the smallest candidate's fill grid.
     """
+    require_elementary(c)
     r0 = VACUUM_TAIL_RADIUS
-    init: Window = (-r0, r0, -r0, r0)
-    traj = circuit_window_trajectory(c, init)
-
     specs = []
-    for a in range(c.m):
-        # cumulative squeeze factor of this mode at each prefix
-        scale = 1.0
-        scales = [1.0]
-        for g in c.gates:
-            if g.kind == "squeeze" and g.mode == a:
-                scale *= g.alpha
-            scales.append(scale)
+    for gates in mode_gates(c):
+        # the mode's window and cumulative squeeze factor after each of its gates
+        w, s = (-r0, r0, -r0, r0), 1.0
+        steps = [(w, s)]
+        for g in gates:
+            w = generator_mlf(g)(w)
+            if g.kind == "squeeze":
+                s *= g.alpha
+            steps.append((w, s))
         dx0 = min(
-            math.pi / ((1.0 + base_margin) * max(abs(w[a][2]), abs(w[a][3])) * s)
-            for w, s in zip(traj, scales)
+            math.pi / ((1.0 + base_margin) * max(abs(w[2]), abs(w[3])) * s) for w, s in steps
         )
         n_req = max(
-            2.0 * max(abs(w[a][0]), abs(w[a][1])) * (1.0 + base_margin) / (dx0 * s)
-            for w, s in zip(traj, scales)
+            2.0 * max(abs(w[0]), abs(w[1])) * (1.0 + base_margin) / (dx0 * s) for w, s in steps
         )
-        specs.append(_snap_grid(c, a, dx0, n_req))
+        specs.append(_snap_grid(gates, dx0, n_req))
 
     check_mem_cap(specs, c.r, mem_cap_mb)
     return specs
@@ -667,16 +665,15 @@ def grid_sizes(n_req: float) -> list[int]:
     return sorted(n for n in sizes if n <= sizes[0])  # sizes[0]: m = 1, the power of two
 
 
-def _snap_grid(c: Circuit, a: int, dx_band: float, n_req: float) -> GridSpec:
-    """Grid of mode ``a`` by ``auto_grid``'s size and snap rule.
+def _snap_grid(gates, dx_band: float, n_req: float) -> GridSpec:
+    """Grid of one mode, given its gates in order, by ``auto_grid``'s size and snap rule.
 
     For each candidate size ``n`` the fill ``dx`` is ``dx_band n_req / n``.
     Each trial ``dx`` puts ``k`` cells on the shortest shift and is checked
     with the kernel's own float products ``dx * alpha`` through the squeezers.
     """
     sizes = grid_sizes(n_req)
-    track = [g for g in c.gates
-             if g.mode == a and (g.kind == "squeeze" or KINDS[g.kind].shifts == "x")]
+    track = [g for g in gates if g.kind == "squeeze" or KINDS[g.kind].shifts == "x"]
 
     def shifts(dx):  # (t, dx at its prefix) of each position shift
         for g in track:

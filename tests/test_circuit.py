@@ -353,6 +353,10 @@ MALFORMED_GATES = [
      "gate object missing 'kind' at gate 2"),
     ([1, 2],
      "gate object missing 'kind' at gate 2"),
+    ({"kind": "blackbox", "modes": None, "g_bar": 2.0, "xi_bar": 1.0},
+     "missing field 'modes' for 'blackbox' at gate 2"),
+    ({"kind": "blackbox", "modes": [0], "qubits": None, "g_bar": 2.0, "xi_bar": 1.0},
+     "missing field 'qubits' for 'blackbox' at gate 2"),
 ]
 
 

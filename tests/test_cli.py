@@ -33,6 +33,16 @@ def test_analyze(circuit_file, tmp_path):
     assert "energy_upper_bound" in report
 
 
+@pytest.mark.parametrize("field", ["modes", "qubits"])
+def test_analyze_rejects_null_blackbox_field(field, tmp_path, capsys):
+    gate = {"kind": "blackbox", "modes": [0], "qubits": [0], "g_bar": 2.0, "xi_bar": 1.0}
+    gate[field] = None
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"m": 1, "r": 1, "gates": [gate]}))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: missing field {field!r} for 'blackbox' at gate 1\n"
+
+
 def test_substitute(circuit_file, tmp_path, capsys):
     out = tmp_path / "sub.json"
     assert main(["substitute", str(circuit_file), "--out", str(out)]) == 0
