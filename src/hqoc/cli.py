@@ -97,7 +97,7 @@ def cmd_substitute(args) -> int:
 def cmd_simulate(args) -> int:
     c = _read_circuit(args.circuit)
     grids = auto_grid(c, base_margin=args.margin, mem_cap_mb=_mem_cap(args))
-    if args.grid_points:
+    if args.grid_points is not None:
         grids = [centered_grid(args.grid_points, g.dx) for g in grids]
         check_mem_cap(grids, c.r, _mem_cap(args))
     state = apply_circuit(vacuum_state(c.m, c.r, grids), c)
@@ -248,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the extent scales with N. --grid-points keeps the snapped dx, so shifts "
         "stay exact rolls",
     )
-    p.add_argument("--margin", type=float, default=0.25)
+    p.add_argument(
+        "--margin", type=float, default=0.25,
+        help="relative widening of the analyser's windows for the automatic grid, >= 0",
+    )
     p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=MEM_CAP_HELP)
     p.add_argument("--dump-state", dest="dump_state")
     p.add_argument("--out")

@@ -505,20 +505,20 @@ def simulate_wprep_factorized(m: int, ell: int, delta: float) -> dict:
     targets accumulate (triangle inequality) into the preparation error,
     which must stay below 50 m (sqrt(Delta) + 2^{2 ell} Delta^2).
     """
-    blocks = [("code", build_code_prep(ell, delta), code_prep_target)] * m
-    blocks.append(("aux", build_aux_prep(ell, delta), aux_prep_target))
     per_block = []
-    qubit_dev = 0.0
-    total = 0.0
-    for label, circ, target_fn in blocks:
+    for label, circ, target_fn, copies in (  # the m code blocks are one circuit
+        ("code", build_code_prep(ell, delta), code_prep_target, m),
+        ("aux", build_aux_prep(ell, delta), aux_prep_target, 1),
+    ):
         grids = auto_grid(circ, base_margin=SIM_MARGIN)
         state = apply_circuit(vacuum_state(1, 1, grids), circ)
-        target = target_fn(ell, delta, state.grids[0])
-        td = trace_distance(state, target)
+        td = trace_distance(state, target_fn(ell, delta, state.grids[0]))
         dev = 1.0 - float(np.sum(np.abs(state.amps[:, 0]) ** 2))
-        per_block.append({"block": label, "trace_distance": td, "qubit_deviation": dev})
-        qubit_dev += dev
-        total += td
+        per_block += [{"block": label, "trace_distance": td, "qubit_deviation": dev}] * copies
+    total = qubit_dev = 0.0
+    for b in per_block:  # in block order, one addition at a time
+        total += b["trace_distance"]
+        qubit_dev += b["qubit_deviation"]
     bound = _eps_prep(m, ell, delta)
     return {
         "per_block": per_block,

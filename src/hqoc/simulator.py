@@ -15,7 +15,7 @@ Gate kernels:
   a phase multiply in the discrete Fourier domain (exact for band-limited
   states on a periodic grid); the overflow guard then reads only ``EDGE_CELLS``
   cells at each edge, so it sees mass drifting onto an edge, not a shift past
-  it, nor momentum aliasing (ROADMAP item 1);
+  it, nor momentum aliasing;
   :func:`auto_grid` snaps ``dx`` so that, where one ``dx`` can, every shift
   of a mode is a roll (the circuits of the paper's preparations all are);
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
@@ -28,8 +28,8 @@ Both displacement phases are linear in the cell index and are built from two
 ~sqrt(n) tables of ``exp`` (:func:`_linear_phase`).  The kernels update the
 amplitudes in place: :func:`apply_circuit` copies the input amplitudes once
 and runs every gate on that one private copy, so the caller's state is never
-written; :func:`apply_gate` is that copy plus one in-place gate.  The state
-handed to an ``apply_circuit`` callback is the live working state, valid
+written; :func:`apply_gate` runs it on a one-gate circuit.  The state
+handed to an ``apply_circuit`` callback is the working state itself, valid
 until the callback returns: copy it to keep it, and do not write it.
 
 Occupied blocks.  Mode 0's axis is cut into blocks of one ``_linear_phase``
@@ -41,8 +41,7 @@ the kernels touch only the runs:
 
 * the private copy is the runs written into a zeroed array;
 * a phase multiplies each run by the phases of its own table rows;
-* a qubit gate writes each run's product into a spare array, whose blocks
-  left from its last use are zeroed first; the live and spare arrays swap;
+* a qubit gate writes each run's product back into the run;
 * a whole-cell shift whose runs stay inside the grid moves each run in place,
   runs in the shift's direction first, and zeroes the cells it vacates; a
   controlled shift adds the moved runs to the old ones;
@@ -86,18 +85,19 @@ GRID_ODD_FACTORS = (1, 3, 5, 9, 15)
 DEFAULT_MEM_CAP_MB = 1024.0
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
-# ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state,
-# its private copy and the spare array its qubit gates write into (or, on the
-# whole-axis path, a shift's roll or transform), i.e. 3 copies; the phases of
-# the occupied cells (half a copy with one qubit), a moved run's buffer, the
-# FFT plan and, outside the kernels, the float temporaries of comb building
-# (1.36 copies) and sampling come on top.  Measured ``tracemalloc`` peaks:
-# 2.62 for vacuum plus ``apply_circuit`` of the comb prep (n=8, Delta=0.02;
-# 36,864 points; the vacuum is freed once copied, then the private copy, the
-# spare and a phase vector), 2.45 for the code prep (l=1; 147,456 points),
-# 2.04 for ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a mode's private
-# copy and its shift's roll, the comb it copied already freed).  Rounded up
-# to 4.
+# ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state and
+# its private copy, i.e. 2 copies; one kernel's temporaries come on top: a
+# qubit gate's product of one run (up to a copy on a full axis), the phases of
+# the occupied cells (half a copy with one qubit), a moved run's buffer, or on
+# the whole-axis path a shift's roll or transform and the FFT plan.  Outside
+# the kernels, the float temporaries of comb building (1.36 copies) and
+# sampling come on top.  Measured ``tracemalloc`` peaks: 2.77 for
+# ``apply_circuit`` of the code prep (l=1, Delta=0.02; 147,456 points) with
+# the caller's vacuum held, its largest run's product on top (2.78 for the
+# comb prep, n=8; 36,864 points); 2.00 for either when the vacuum is freed
+# once copied; 2.04 for ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a
+# mode's private copy and its shift's roll, the comb it copied already
+# freed).  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -303,8 +303,6 @@ class _Occupancy:
 
     Read once from the amplitudes, then kept from gate to gate.  ``runs`` are
     the occupied blocks as cell ranges; ``full`` says they are the whole axis.
-    ``live`` is the C-ordered array that ``state.amps`` views; ``spare`` is a
-    second one for the qubit gates to write into, 0 outside ``spare_blocks``.
     """
 
     def __init__(self, state: HybridState):
@@ -316,14 +314,12 @@ class _Occupancy:
             self.b = state.amps.size
             blocks = np.ones(1, dtype=bool)
         self._set(blocks)
-        self.live, self.spare, self.spare_blocks = None, None, None
 
     def private_copy(self, state: HybridState) -> HybridState:
-        """A copy of ``state`` that becomes ``live``: its runs written into a zeroed array."""
+        """A copy of ``state``: its runs written into a zeroed array."""
         amps = np.zeros(state.amps.shape, dtype=complex)
         for lo, hi in self.runs:
             amps[lo:hi] = state.amps[lo:hi]
-        self.live = amps
         return HybridState(state.m, state.r, state.grids, amps)
 
     def _set(self, blocks: np.ndarray) -> None:
@@ -370,30 +366,18 @@ class _Occupancy:
 def _apply_qubit_matrix(
     state: HybridState, mat: np.ndarray, axes: tuple[int, ...], occ: _Occupancy
 ) -> None:
-    """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest), run by run.
+    """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest) in place, run by run.
 
-    Each run's product is written straight into ``occ.spare``, whose blocks
-    that held amplitude and lie outside the runs are zeroed first; the live
-    array then becomes the spare.  A run holds at least two cells, so each
-    ``matmul`` takes the BLAS path of one over the whole array, bit for bit.
+    Each run's product is written back through the ``moveaxis`` view of
+    ``state.amps``.  A run holds at least two cells, so each ``matmul`` takes
+    the BLAS path of one over the whole array, bit for bit.
     """
     amps, k = state.amps, len(axes)
-    trailing = range(amps.ndim - k, amps.ndim)
-    moved = np.moveaxis(amps, axes, trailing)
-    lead = moved.shape[: amps.ndim - k]
-    shape = (lead[:1] or (1,)) + lead[1:] + (2 ** k,)  # no mode and r = k: one row
-    if occ.spare is None:
-        out = np.zeros(shape, dtype=complex)
-    else:
-        out = occ.spare.reshape(shape)
-        if not occ.full:  # blocks the spare held that no run covers now
-            for lo, hi in _runs(occ.spare_blocks & ~occ.blocks, occ.b):
-                out[lo:hi] = 0
+    moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
     mt = mat.T
     for lo, hi in occ.runs:
-        np.matmul(moved[lo:hi].reshape((-1,) + shape[1:]), mt, out=out[lo:hi])
-    occ.spare, occ.spare_blocks, occ.live = occ.live, occ.blocks, out
-    state.amps = np.moveaxis(out.reshape(moved.shape), trailing, axes)
+        run = moved[lo:hi]
+        run[...] = np.matmul(run.reshape(-1, 2 ** k), mt).reshape(run.shape)
 
 
 def _momentum_phase(grid: GridSpec, t: float) -> np.ndarray:
@@ -414,8 +398,8 @@ def _apply_inplace(state: HybridState, g: Gate, occ: _Occupancy) -> None:
     """Apply one elementary gate to ``state``, overwriting its amplitudes and grids.
 
     The gate touches only the runs of ``occ``, the :class:`_Occupancy` of
-    ``state``, and updates it.  Displacements write into the (branch) view of
-    ``state.amps``; a qubit gate and a squeezer replace ``state.amps`` /
+    ``state``, and updates it.  Every kernel writes ``state.amps`` in place
+    (a controlled displacement through its branch view); a squeezer replaces
     ``state.grids``.  Raises ``GridOverflowError`` when a shift leaves mass on
     the edge cells (not when it jumps past them), and ``GridError`` when a
     squeezer leaves a non-finite grid.
@@ -474,10 +458,7 @@ def _apply_inplace(state: HybridState, g: Gate, occ: _Occupancy) -> None:
 
 def apply_gate(state: HybridState, g: Gate) -> HybridState:
     """Apply one elementary gate, returning a new state (blackboxes rejected)."""
-    occ = _Occupancy(state)
-    out = occ.private_copy(state)
-    _apply_inplace(out, g, occ)
-    return out
+    return apply_circuit(state, Circuit(state.m, state.r, (g,)))
 
 
 def _check_overflow(state: HybridState) -> None:
@@ -492,7 +473,7 @@ def apply_circuit(state: HybridState, c: Circuit, callback=None) -> HybridState:
     """Apply all gates in order to a private copy of ``state`` and return it.
 
     The input state is never written.  ``callback(i, st)`` runs after gate i
-    (1-based) with the live working state: it is valid only until the callback
+    (1-based) with the working state itself: it is valid only until the callback
     returns, and the next gate overwrites it, so copy it (``st.copy()``) to
     keep it.  A ``GridError`` raised by gate i names ``gate i``.
     """
@@ -631,8 +612,11 @@ def auto_grid(
     ``dx <= band`` keeps every momentum window inside the Nyquist band, and
     no grid is larger than the power of two.  Where no candidate has such a
     ``dx`` (incommensurate shifts, a lone shift of less than one cell) the
-    grid is the smallest candidate's fill grid.
+    grid is the smallest candidate's fill grid.  ``base_margin`` must be
+    finite and ``>= 0`` (``ValueError``).
     """
+    if not (math.isfinite(base_margin) and base_margin >= 0):
+        raise ValueError(f"base_margin must be finite and >= 0, got {base_margin}")
     require_elementary(c)
     r0 = VACUUM_TAIL_RADIUS
     specs = []

@@ -24,8 +24,14 @@ MODE_EXPONENT = 24.0
 ENERGY_EXPONENT = 1.0 / 42.0
 
 
+def _check_counts(n: int, m: int = 1, s: int = 0) -> None:
+    if not (n >= 1 and m >= 1 and s >= 0):
+        raise ValueError(f"need n >= 1, m >= 1 and s >= 0, got n={n}, m={m}, s={s}")
+
+
 def _log2_prefactor(n: int, m: int, s: int) -> float:
-    """log2 of 2^46 (s+m)^2 2^{24 n/m}."""
+    """log2 of 2^46 (s+m)^2 2^{24 n/m}; ``ValueError`` unless n >= 1, m >= 1 and s >= 0."""
+    _check_counts(n, m, s)
     return LOG2_C + SIZE_EXPONENT * math.log2(s + m) + MODE_EXPONENT * n / m
 
 
@@ -180,6 +186,8 @@ def regime_table(n_values, s_fn, eps_fn) -> list[RegimeRow]:
     fitted power ~1 means exponential energy, ~1/2 subexponential, and a
     sublinear/logarithmic log2-energy means polynomial energy.
     """
+    for n in n_values:  # before the callables see n
+        _check_counts(n)
     rows = []
     for label, m_fn in MODE_REGIMES.items():
         log2s = tuple(

@@ -237,6 +237,32 @@ def test_simulate_grid_points_refuses_sizes_outside_the_rule(circuit_file, capsy
     )
 
 
+def test_simulate_grid_points_zero_is_refused(circuit_file, capsys):
+    assert main(["simulate", str(circuit_file), "--grid-points", "0"]) == 1
+    assert "k >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "nan"])
+def test_simulate_margin_must_be_finite_and_non_negative(circuit_file, capsys, value):
+    assert main(["simulate", str(circuit_file), f"--margin={value}"]) == 1
+    assert f"base_margin must be finite and >= 0, got {float(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--m", "0", "--epsilon", "0.1"],
+        ["--m", "-1", "--epsilon", "0.1"],
+        ["--s", "-300", "--epsilon", "0.1"],
+        ["--n", "0", "--energy", "10"],
+        ["--table", "--n-values", "0,1"],
+    ],
+)
+def test_tradeoff_rejects_counts_out_of_range(args, capsys):
+    assert main(["tradeoff"] + args) == 1
+    assert "need n >= 1, m >= 1 and s >= 0" in capsys.readouterr().err
+
+
 def test_sample_csv_stays_under_mem_cap(tmp_path):
     # 10^6 shots: 32 MB of shot arrays counted beside the grid; the CSV's uint8
     # rows, bytes and str (9 MB) come after the state is freed

@@ -218,9 +218,9 @@ def test_shift_to_the_last_block_moves_in_place_and_past_it_rolls(past):
     assert occ.full == (past > 0)  # a block crossing the edge rolls the whole axis
 
 
-def test_qubit_gates_clear_what_the_spare_held():
-    # H writes into a fresh spare; the shift moves the runs away; the next H writes
-    # into the old array, whose blocks left behind must be zeroed first
+def test_qubit_gates_act_on_the_moved_runs():
+    # H writes each run in place; the shift moves the runs away and zeroes what
+    # they vacate; the next qubit gates must act on the moved runs only
     grid = centered_grid(256, 0.1)
     amps = np.zeros((256, 2), dtype=complex)
     amps[40:60, 0] = np.linspace(0.1, 1.0, 20)

@@ -128,6 +128,16 @@ def test_wprep_factorized_error_budget():
     assert report["qubit_deviation"] < 0.05
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_wprep_factorized_simulates_each_block_circuit_once(m, monkeypatch):
+    calls = []
+    real = pipeline.apply_circuit
+    monkeypatch.setattr(pipeline, "apply_circuit", lambda st, c: calls.append(c) or real(st, c))
+    report = simulate_wprep_factorized(m, 1, 0.05)
+    assert len(calls) == 2
+    assert [b["block"] for b in report["per_block"]] == ["code"] * m + ["aux"]
+
+
 def test_wu_blackbox_structure():
     u = Circuit(0, 4, (qubit_gate("CZ", (0, 1)), qubit_gate("H", 2)))
     w = build_wu(u, m=2, ell=2)

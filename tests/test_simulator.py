@@ -230,6 +230,16 @@ def test_auto_grid_empty_circuit():
     assert g.p_max >= VACUUM_TAIL_RADIUS * 1.25
 
 
+@pytest.mark.parametrize("margin", [-1.0, -0.5, -math.inf, math.inf, math.nan])
+def test_auto_grid_rejects_negative_or_non_finite_margin(margin):
+    with pytest.raises(ValueError, match="base_margin must be finite and >= 0"):
+        auto_grid(Circuit(1, 0, ()), base_margin=margin)
+
+
+def test_auto_grid_accepts_zero_margin():
+    assert auto_grid(Circuit(1, 0, ()), base_margin=0.0)[0].n_points >= 256
+
+
 def test_auto_grid_squeeze_scales_windows():
     base = auto_grid(Circuit(1, 0, ()), base_margin=0.25)[0]
     squeezed = auto_grid(Circuit(1, 0, (squeeze(0, 2.0),)), base_margin=0.25)[0]
@@ -524,6 +534,17 @@ def test_working_set_within_mem_cap_constant():
     cells = encoding_grid(EncodingLayout(n=2, m=1), 0.01).n_points
     peak = _peak_copies(lambda: run_sampling_scheme(u, 2, 1, 0.01, 1000, 1), 16 * cells)
     assert peak <= WORKING_SET_COPIES
+
+
+def test_apply_circuit_holds_one_private_copy():
+    # the caller's vacuum (1 copy, allocated before tracing) and the private copy
+    # the gates run on; a second full array for the qubit gates would make it 3.45
+    from hqoc.pipeline import build_code_prep
+
+    c = build_code_prep(1, 0.02)
+    v = vacuum_state(1, 1, auto_grid(c, base_margin=0.3))
+    peak = 1 + _peak_copies(lambda: apply_circuit(v, c), v.amps.nbytes)
+    assert peak < 3.0
 
 
 def _sample_with_grid_xs(state, shots, seed):

@@ -117,6 +117,23 @@ def test_input_validation():
         sampling_error_bound(4, 2, 10, energy=-1.0)
 
 
+@pytest.mark.parametrize("n, m, s", [(0, 1, 10), (4, 0, 10), (4, -1, 10), (4, 2, -1), (math.nan, 1, 10)])
+def test_counts_out_of_range_rejected(n, m, s):
+    with pytest.raises(ValueError, match="need n >= 1, m >= 1 and s >= 0"):
+        log2_required_energy(n, m, s, 0.1)
+    with pytest.raises(ValueError, match="need n >= 1, m >= 1 and s >= 0"):
+        log2_sampling_error_bound(n, m, s, 100.0)
+
+
+def test_regime_table_rejects_n_below_one():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        regime_table([0, 1], lambda n: n * n, lambda n: 1.0 / n)
+
+
+def test_smallest_counts_accepted():
+    assert log2_required_energy(1, 1, 0, 2.0) == 42.0 * (46.0 + 24.0 - 1.0)
+
+
 def _lstsq_residual(ns, ys, beta):
     """Reference: the residual of y ~ a + b n^beta from ``np.linalg.lstsq``."""
     A = np.stack([np.ones_like(ns), ns ** beta], axis=1)
