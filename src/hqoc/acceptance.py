@@ -1,17 +1,20 @@
 """Acceptance battery: quantitative checks of the toolkit's headline claims.
 
-Each criterion is a function returning a :class:`CriterionResult`; the CLI
-``verify`` subcommand and the test suite both run these.  Criteria combine
-small-scale quantitative reproduction of verifiable inequalities with
-randomized property checks; random streams are fixed by explicit seeds.
+Each criterion is a check returning ``(ok, details)``, declared once by
+``@criterion(number, name, limit)``: the one runner that times it, fails it
+past its limit and builds its :class:`CriterionResult`.  The CLI ``verify``
+subcommand and the test suite run them from ``ALL_CRITERIA``.  Criteria pair
+small-scale reproduction of verifiable inequalities with randomized property
+checks; random streams are fixed by explicit seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,13 +81,31 @@ class CriterionResult:
     name: str
     passed: bool
     runtime: float
-    limit: float | None = None
-    details: dict = field(default_factory=dict)
+    limit: float | None
+    details: dict
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lim = f" (limit {self.limit:.0f}s)" if self.limit else ""
         return f"[{status}] criterion {self.number:2d} {self.name}: {self.runtime:.1f}s{lim}"
+
+
+def criterion(number: int, name: str, limit: float | None = None):
+    """Declare a check returning ``(ok, details)`` as criterion ``number``, timed against ``limit`` s."""
+
+    def declare(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, details = check()
+            runtime = time.perf_counter() - t0
+            passed = bool(ok) and (limit is None or runtime < limit)
+            return CriterionResult(number, name, passed, runtime, limit, details)
+
+        run.number = number
+        return run
+
+    return declare
 
 
 # Strength cap of random circuits: |t| <= STRENGTH and 1/STRENGTH <= alpha <= STRENGTH.
@@ -120,30 +141,28 @@ def _random_distribution(rng) -> DiscreteDistribution:
     return distribution_from_arrays(values, probs)
 
 
-def criterion_1() -> CriterionResult:
+@criterion(1, "comb orthogonality", limit=5)
+def criterion_1():
     """Comb-state orthogonality: d=4, Delta=1/32, Gram = identity to 1e-8."""
-    t0 = time.time()
     states = comb_family(1.0 / 32.0, 4)
     gram = np.array([[np.vdot(a.amps, b.amps) for b in states] for a in states])
     dev = float(np.abs(gram - np.eye(4)).max())
-    rt = time.time() - t0
-    return CriterionResult(1, "comb orthogonality", dev <= 1e-8 and rt < 5, rt, 5, {"gram_dev": dev})
+    return dev <= 1e-8, {"gram_dev": dev}
 
 
-def criterion_2() -> CriterionResult:
+@criterion(2, "overlap lemma", limit=10)
+def criterion_2():
     """Overlap lemma: |<Sha, Sha^eps>|^2 >= 1 - 16 Delta^2 - 2 e^{-(eps/Delta)^2}."""
-    t0 = time.time()
     cases = []
     for delta, eps in [(0.05, 0.25), (0.1, 0.25), (0.02, 0.1)]:
         ov, bound = overlap_check(delta, eps, L=16)
         cases.append({"delta": delta, "eps": eps, "overlap_sq": ov, "bound": bound, "ok": ov >= bound})
-    rt = time.time() - t0
-    return CriterionResult(2, "overlap lemma", all(c["ok"] for c in cases) and rt < 10, rt, 10, {"cases": cases})
+    return all(c["ok"] for c in cases), {"cases": cases}
 
 
-def criterion_3() -> CriterionResult:
+@criterion(3, "preparation theorem", limit=300)
+def criterion_3():
     """Preparation theorem at n=3: trace distance <= 17 sqrt(Delta), decreasing in Delta."""
-    t0 = time.time()
     tds = {}
     sizes_ok = True
     for delta in (0.04, 0.01):
@@ -151,18 +170,13 @@ def criterion_3() -> CriterionResult:
         target = prep_target_state(3, delta, state.grids[0])
         tds[delta] = trace_distance(state, target)
         sizes_ok &= len(c.gates) == prep_size_formula(3, delta)
-    ok = (
-        sizes_ok
-        and all(tds[d] <= 17.0 * math.sqrt(d) for d in tds)
-        and tds[0.01] < tds[0.04]
-    )
-    rt = time.time() - t0
-    return CriterionResult(3, "preparation theorem", ok and rt < 300, rt, 300, {"trace_distances": tds})
+    ok = sizes_ok and all(tds[d] <= 17.0 * math.sqrt(d) for d in tds) and tds[0.01] < tds[0.04]
+    return ok, {"trace_distances": tds}
 
 
-def criterion_4() -> CriterionResult:
+@criterion(4, "logical measurement", limit=120)
+def criterion_4():
     """Logical measurement at ell=2: deterministic basis readout + chi^2 on a superposition."""
-    t0 = time.time()
     shots = 10_000
     layout = EncodingLayout(n=2, m=1)
     delta = 0.02
@@ -180,16 +194,12 @@ def criterion_4() -> CriterionResult:
     expected = shots / 2.0
     chi2 = sum((counts.get(k, 0) - expected) ** 2 / expected for k in [(0, 0), (1, 1)])
     ok = deterministic and stray == 0 and chi2 <= 9.0  # 3 sigma for 1 dof
-    rt = time.time() - t0
-    return CriterionResult(
-        4, "logical measurement", ok and rt < 120, rt, 120,
-        {"deterministic": deterministic, "chi2": chi2, "stray": stray},
-    )
+    return ok, {"deterministic": deterministic, "chi2": chi2, "stray": stray}
 
 
-def criterion_5() -> CriterionResult:
+@criterion(5, "analyzer soundness", limit=600)
+def criterion_5():
     """Analyzer soundness on 200 random circuits: energy and window containment."""
-    t0 = time.time()
     rng = np.random.default_rng(20250810)
     r0 = VACUUM_TAIL_RADIUS
     violations = 0
@@ -198,7 +208,7 @@ def criterion_5() -> CriterionResult:
     for _ in range(200):
         c = random_circuit(rng)
         bound = energy_upper_bound(circuit_params(c)).bound
-        grids = auto_grid(c, base_margin=SIM_MARGIN, mem_cap_mb=512)
+        grids = auto_grid(c, base_margin=SIM_MARGIN)
         traj = circuit_window_trajectory(c, (-r0, r0, -r0, r0))
         state = vacuum_state(1, 1, grids)
         records = []
@@ -217,16 +227,13 @@ def criterion_5() -> CriterionResult:
             worst_mass = max(worst_mass, mass)
             if energy > bound or mass > 1e-6:
                 violations += 1
-    rt = time.time() - t0
-    return CriterionResult(
-        5, "analyzer soundness", violations == 0 and rt < 600, rt, 600,
-        {"violations": violations, "worst_outside_mass": worst_mass, "worst_energy_slack": worst_slack},
-    )
+    details = {"worst_outside_mass": worst_mass, "worst_energy_slack": worst_slack}
+    return violations == 0, {"violations": violations, **details}
 
 
-def criterion_6() -> CriterionResult:
+@criterion(6, "bounded-strength substitution")
+def criterion_6():
     """Bounded-strength substitution: strengths capped, unitary action preserved."""
-    t0 = time.time()
     rng = np.random.default_rng(7)
     ok_strength = True
     worst_fid = 1.0
@@ -253,16 +260,12 @@ def criterion_6() -> CriterionResult:
                 st = HybridState(1, 1, grids, amps)
                 worst_fid = min(worst_fid, fidelity(apply_circuit(st, c), apply_circuit(st, sub)))
     ok = ok_strength and params_ok and worst_fid >= 1.0 - 1e-8
-    rt = time.time() - t0
-    return CriterionResult(
-        6, "bounded-strength substitution", ok, rt, None,
-        {"worst_fidelity": worst_fid, "strength_ok": ok_strength, "lemma_params_ok": params_ok},
-    )
+    return ok, {"worst_fidelity": worst_fid, "strength_ok": ok_strength, "lemma_params_ok": params_ok}
 
 
-def criterion_7() -> CriterionResult:
+@criterion(7, "g_bar prefix == brute force")
+def criterion_7():
     """g_bar prefix-scan == O(T^2) brute force on 500 circuits, log-space equality to 1e-12."""
-    t0 = time.time()
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(500):
@@ -270,13 +273,12 @@ def criterion_7() -> CriterionResult:
         fast = circuit_params(c).per_mode[0].log2_g_bar
         slow = math.log2(g_bar_brute_force(c, 0))
         worst = max(worst, abs(fast - slow))
-    rt = time.time() - t0
-    return CriterionResult(7, "g_bar prefix == brute force", worst <= 1e-12, rt, None, {"worst_log2_diff": worst})
+    return worst <= 1e-12, {"worst_log2_diff": worst}
 
 
-def criterion_8() -> CriterionResult:
+@criterion(8, "Donoho-Stark kernel")
+def criterion_8():
     """Donoho-Stark kernel: trace within 0.5% of 4R^2/pi, eigenvalues in [-1e-9, 1+1e-6]."""
-    t0 = time.time()
     ok = True
     details = {}
     for R in (1.0, 2.0, 5.0):
@@ -287,13 +289,12 @@ def criterion_8() -> CriterionResult:
         rel = abs(trace - exact) / exact
         details[R] = {"trace": trace, "rel_err": rel, "eig_min": float(eigs[0]), "eig_max": float(eigs[-1])}
         ok &= rel <= 0.005 and eigs[0] >= -1e-9 and eigs[-1] <= 1.0 + 1e-6
-    rt = time.time() - t0
-    return CriterionResult(8, "Donoho-Stark kernel", ok, rt, None, details)
+    return ok, details
 
 
-def criterion_9() -> CriterionResult:
+@criterion(9, "radius-dimension + radius-energy")
+def criterion_9():
     """Radius-dimension bound on the d=4 comb family + radius-energy inequality."""
-    t0 = time.time()
     delta_tail = 0.01
     radii = [state_symradius(st, delta_tail) for st in comb_family(1.0 / 32.0, 4)]
     bound = math.sqrt(math.pi / 4.0) * (4.0 * (1.0 - 3.0 * math.sqrt(delta_tail))) ** 0.5
@@ -303,22 +304,19 @@ def criterion_9() -> CriterionResult:
     violations = 0
     for _ in range(100):
         c = random_circuit(rng, max_gates=8)
-        grids = auto_grid(c, base_margin=SIM_MARGIN, mem_cap_mb=512)
+        grids = auto_grid(c, base_margin=SIM_MARGIN)
         st = apply_circuit(vacuum_state(1, 1, grids), c)
         radius = state_symradius(st, delta_tail)
         energy = energy_expectation(st)[1]
         if delta_tail * radius ** 2 > energy * (1 + 1e-9):
             violations += 1
-    rt = time.time() - t0
-    return CriterionResult(
-        9, "radius-dimension + radius-energy", family_ok and violations == 0, rt, None,
-        {"max_symradius": max(radii), "bound": bound, "violations": violations},
-    )
+    details = {"max_symradius": max(radii), "bound": bound, "violations": violations}
+    return family_ok and violations == 0, details
 
 
-def criterion_10() -> CriterionResult:
+@criterion(10, "trade-off regimes + inversion")
+def criterion_10():
     """Trade-off regimes over n in {16..1024} and bound/energy inversion consistency."""
-    t0 = time.time()
     ns = [16, 32, 64, 128, 256, 512, 1024]
     rows = regime_table(ns, lambda n: n * n, lambda n: 1.0 / n)
     by_label = {r.label: r for r in rows}
@@ -333,19 +331,15 @@ def criterion_10() -> CriterionResult:
         back = log2_sampling_error_bound(n, m, s, log2_e)
         if abs(back - math.log2(eps)) > 1e-9 * max(1.0, abs(math.log2(eps))):
             inv_ok = False
-    rt = time.time() - t0
-    return CriterionResult(
-        10, "trade-off regimes + inversion", ok and inv_ok, rt, None,
-        {r.label: {"beta": r.fitted_exponent, "class": r.growth_class} for r in rows},
-    )
+    return ok and inv_ok, {r.label: {"beta": r.fitted_exponent, "class": r.growth_class} for r in rows}
 
 
-def criterion_11() -> CriterionResult:
+@criterion(11, "budget formulas vs mpmath")
+def criterion_11():
     """Budget/composite formulas in log space match mpmath to 1e-10 relative."""
     # lazy: nothing else needs mpmath, and it is the slowest import here
     import mpmath as mp
 
-    t0 = time.time()
     mp.mp.dps = 50
     ok = True
     details = {}
@@ -377,13 +371,12 @@ def criterion_11() -> CriterionResult:
         ok &= close(b.eps_gate, mp_gate)
         ok &= b.eps_final == b.eps_prep + b.eps_gate
         ok &= b.l1_bound == min(2.0, b.eps_final)
-    rt = time.time() - t0
-    return CriterionResult(11, "budget formulas vs mpmath", ok, rt, None, {})
+    return ok, {}
 
 
-def criterion_12() -> CriterionResult:
+@criterion(12, "classical concentration lemmas")
+def criterion_12():
     """diam^delta <= 2 sigma delta^{-1/2} and delta symradius^2 <= E[X^2] on 500 distributions."""
-    t0 = time.time()
     rng = np.random.default_rng(12)
     violations = 0
     for _ in range(500):
@@ -397,35 +390,21 @@ def criterion_12() -> CriterionResult:
             violations += 1
         if d > 2.0 * r + 1e-12:
             violations += 1
-    rt = time.time() - t0
-    return CriterionResult(12, "classical concentration lemmas", violations == 0, rt, None, {"violations": violations})
+    return violations == 0, {"violations": violations}
 
 
-ALL_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-}
+ALL_CRITERIA = {check.number: check for check in (
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6,
+    criterion_7, criterion_8, criterion_9, criterion_10, criterion_11, criterion_12,
+)}
 
 FAST_CRITERIA = (1, 2, 6, 7, 8, 10, 11, 12)
 
 
-def run_criteria(numbers=None, printer=print) -> list[CriterionResult]:
-    if numbers is None:
-        numbers = sorted(ALL_CRITERIA)
+def run_criteria(numbers) -> list[CriterionResult]:
+    """Run the given criteria in order, printing each result's line as it comes."""
     results = []
     for k in numbers:
-        res = ALL_CRITERIA[k]()
-        results.append(res)
-        if printer is not None:
-            printer(res.line())
+        results.append(ALL_CRITERIA[k]())
+        print(results[-1].line())
     return results

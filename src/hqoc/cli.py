@@ -29,8 +29,7 @@ from .moments import AnalysisError, analysis_report, substitute_bounded_strength
 from .pipeline import build_code_prep, build_prep_circuit, run_sampling_scheme
 from .simulator import (
     DEFAULT_MEM_CAP_MB, GRID_ODD_FACTORS, WORKING_SET_COPIES, GridError, ResourceCapError,
-    apply_circuit, auto_grid, centered_grid, check_mem_cap, energy_expectation, state_dump,
-    vacuum_state,
+    apply_circuit, auto_grid, energy_expectation, state_dump, vacuum_state,
 )
 from .tradeoff import (
     implementation_energy_bound,
@@ -96,10 +95,9 @@ def cmd_substitute(args) -> int:
 
 def cmd_simulate(args) -> int:
     c = _read_circuit(args.circuit)
-    grids = auto_grid(c, base_margin=args.margin, mem_cap_mb=_mem_cap(args))
-    if args.grid_points is not None:
-        grids = [centered_grid(args.grid_points, g.dx) for g in grids]
-        check_mem_cap(grids, c.r, _mem_cap(args))
+    grids = auto_grid(
+        c, base_margin=args.margin, mem_cap_mb=_mem_cap(args), n_points=args.grid_points
+    )
     state = apply_circuit(vacuum_state(c.m, c.r, grids), c)
     energies, emax = energy_expectation(state)
     payload = {
@@ -212,7 +210,10 @@ def cmd_verify(args) -> int:
         numbers = [int(v) for v in args.criteria.split(",")]
         unknown = [k for k in numbers if k not in ALL_CRITERIA]
         if unknown:
-            raise CircuitError(f"unknown criteria: {unknown}")
+            raise ValueError(f"unknown criteria: {unknown}")
+        repeated = sorted({k for k in numbers if numbers.count(k) > 1})
+        if repeated:
+            raise ValueError(f"criteria given more than once: {repeated}")
     elif args.full:
         numbers = sorted(ALL_CRITERIA)
     else:
@@ -246,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"N = m * 2^k with m in {', '.join(map(str, GRID_ODD_FACTORS))} and k >= 1"
         " (e.g. 1024, 147456); "
         "the extent scales with N. --grid-points keeps the snapped dx, so shifts "
-        "stay exact rolls",
+        "stay exact rolls; a grid too narrow for the circuit (some gate's position "
+        "window leaves its extent) is refused",
     )
     p.add_argument(
         "--margin", type=float, default=0.25,

@@ -192,6 +192,8 @@ def prep_size_formula(n: int, delta: float) -> int:
 
 
 def _code_prep(ell: int, delta: float, d: int) -> Circuit:
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
     if not (0 < delta < 0.25) or delta > 2.0 ** -(ell + 1):
         raise ValueError("code preparation requires delta <= 2^-(ell+1) and delta < 1/4")
     base = build_prep_circuit(peak_count_exponent(delta, ell), delta)
@@ -468,7 +470,7 @@ def sample_encoded_state(states, layout: EncodingLayout, shots: int, seed: int) 
 def simulate_prep(n: int, delta: float):
     """Simulate the comb preparation from vacuum; returns (state, circuit)."""
     c = build_prep_circuit(n, delta)
-    grids = auto_grid(c, base_margin=SIM_MARGIN, mem_cap_mb=2048.0)
+    grids = auto_grid(c, base_margin=SIM_MARGIN)
     state = vacuum_state(1, 1, grids)
     return apply_circuit(state, c), c
 

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import KINDS, Circuit, Gate, gate_matrix, mode_gates
+from .circuit import KINDS, Circuit, Gate, gate_matrix, mode_gates, target_modes
 from .moments import AnalysisError, generator_mlf, require_elementary
 
 # Radius containing all but <= 1e-12 of the vacuum's position/momentum mass.
@@ -587,7 +587,10 @@ def homodyne_sample(
 
 
 def auto_grid(
-    c: Circuit, base_margin: float = 0.25, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
+    c: Circuit,
+    base_margin: float = 0.25,
+    mem_cap_mb: float = DEFAULT_MEM_CAP_MB,
+    n_points: int | None = None,
 ) -> list[GridSpec]:
     """Size per-mode grids from the analyzer's windows, walking each mode's gates once.
 
@@ -614,13 +617,19 @@ def auto_grid(
     ``dx`` (incommensurate shifts, a lone shift of less than one cell) the
     grid is the smallest candidate's fill grid.  ``base_margin`` must be
     finite and ``>= 0`` (``ValueError``).
+
+    ``n_points`` forces that many points on every mode, centred on x = 0 at
+    the snapped ``dx``.  Such a grid is refused (``GridError`` naming the
+    mode and the gate) when a position window of the walk, without margin,
+    leaves its extent ``[-n dx / 2, n dx / 2]`` in that prefix's squeezed
+    frame.  The memory cap is checked on the grids returned.
     """
     if not (math.isfinite(base_margin) and base_margin >= 0):
         raise ValueError(f"base_margin must be finite and >= 0, got {base_margin}")
     require_elementary(c)
     r0 = VACUUM_TAIL_RADIUS
     specs = []
-    for gates in mode_gates(c):
+    for mode, gates in enumerate(mode_gates(c)):
         # the mode's window and cumulative squeeze factor after each of its gates
         w, s = (-r0, r0, -r0, r0), 1.0
         steps = [(w, s)]
@@ -635,10 +644,28 @@ def auto_grid(
         n_req = max(
             2.0 * max(abs(w[0]), abs(w[1])) * (1.0 + base_margin) / (dx0 * s) for w, s in steps
         )
-        specs.append(_snap_grid(gates, dx0, n_req))
+        spec = _snap_grid(gates, dx0, n_req)
+        if n_points is not None:
+            spec = centered_grid(n_points, spec.dx)
+            for j, (w, s) in enumerate(steps):
+                half = spec.extent * s / 2
+                if w[0] < -half or w[1] > half:
+                    raise GridError(
+                        f"{n_points}-point grid too narrow for mode {mode} {_prefix_name(c, mode, j)}:"
+                        f" position window [{w[0]:g}, {w[1]:g}] leaves the extent +-{half:g}"
+                    )
+        specs.append(spec)
 
     check_mem_cap(specs, c.r, mem_cap_mb)
     return specs
+
+
+def _prefix_name(c: Circuit, mode: int, j: int) -> str:
+    """The prefix after ``mode``'s ``j``-th gate, named by that gate's 1-based place in ``c``."""
+    if j == 0:
+        return "at the vacuum"
+    acting = [i for i, g in enumerate(c.gates, start=1) if mode in target_modes(g)]
+    return f"at gate {acting[j - 1]}"
 
 
 def grid_sizes(n_req: float) -> list[int]:

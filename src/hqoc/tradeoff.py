@@ -184,10 +184,14 @@ def regime_table(n_values, s_fn, eps_fn) -> list[RegimeRow]:
 
     Growth classes are for the ENERGY as a function of n: a log2-energy
     fitted power ~1 means exponential energy, ~1/2 subexponential, and a
-    sublinear/logarithmic log2-energy means polynomial energy.
+    sublinear/logarithmic log2-energy means polynomial energy.  The fit
+    y ~ a + b n^beta needs at least three distinct n (``ValueError``): with
+    fewer, every beta fits.
     """
     for n in n_values:  # before the callables see n
         _check_counts(n)
+    if len(set(n_values)) < 3:
+        raise ValueError(f"the regime fit needs at least 3 distinct n values, got {list(n_values)}")
     rows = []
     for label, m_fn in MODE_REGIMES.items():
         log2s = tuple(

@@ -2,6 +2,7 @@
 one pass/fail line per criterion (also available via `hqoc verify --full`)."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,30 @@ from hqoc.circuit import KINDS, Circuit, Gate, qubit_gate, squeeze
 def test_acceptance_criterion(number):
     result = ALL_CRITERIA[number]()
     print(result.line())
+    assert result.number == number
     assert result.passed, f"criterion {number} failed: {result.details}"
     if result.limit is not None:
         assert result.runtime < result.limit
+
+
+def test_criteria_table_holds_the_module_criteria():
+    # the traced benchmark run rebinds both names to one wrapper, so they must be one callable
+    assert sorted(ALL_CRITERIA) == list(range(1, 13))
+    for k in range(1, 13):
+        assert ALL_CRITERIA[k] is getattr(acceptance, f"criterion_{k}")
+
+
+def test_criterion_fails_a_check_past_its_limit():
+    def check():
+        time.sleep(0.005)
+        return True, {"slept": True}
+
+    late = acceptance.criterion(99, "slow check", limit=0.001)(check)()
+    assert late.passed is False
+    assert (late.number, late.name, late.limit, late.details) == (99, "slow check", 0.001, {"slept": True})
+    assert late.runtime >= 0.005
+    assert acceptance.criterion(99, "slow check", limit=60)(check)().passed is True
+    assert acceptance.criterion(99, "failing check")(lambda: (False, {}))().passed is False
 
 
 def test_criterion_8_allocates_no_n_by_n_matrix():

@@ -134,6 +134,17 @@ def test_tradeoff_table(tmp_path):
     assert {row["regime"] for row in table} == {"m=1", "m=ceil(sqrt(n))", "m=n"}
 
 
+@pytest.mark.parametrize("n_values", ["16", "16,32", "16,32,32"])
+def test_tradeoff_table_needs_three_distinct_n(n_values, capsys):
+    assert main(["tradeoff", "--table", "--n-values", n_values]) == 1
+    assert "the regime fit needs at least 3 distinct n values" in capsys.readouterr().err
+
+
+def test_prep_rejects_ell_below_one(capsys):
+    assert main(["prep", "--ell", "-3", "--delta", "0.1"]) == 1
+    assert "ell must be >= 1, got -3" in capsys.readouterr().err
+
+
 def test_tradeoff_point_queries(tmp_path):
     out = tmp_path / "point.json"
     assert main(["tradeoff", "--n", "10", "--m", "2", "--s", "100", "--epsilon",
@@ -184,6 +195,18 @@ def test_unknown_criteria_rejected():
     assert main(["verify", "--criteria", "99"]) == 1
 
 
+@pytest.mark.parametrize(
+    "criteria, message",
+    [("99", "unknown criteria: [99]"), ("11,1,11", "criteria given more than once: [11]")],
+)
+def test_verify_refuses_numbers_with_value_error(criteria, message, capsys):
+    args = build_parser().parse_args(["verify", "--criteria", criteria])
+    with pytest.raises(ValueError) as info:
+        args.func(args)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert capsys.readouterr().out == ""  # refused before any criterion ran
+
+
 def test_missing_file_is_validation_error():
     assert main(["analyze", "/nonexistent/circuit.json"]) == 1
 
@@ -228,6 +251,41 @@ def test_simulate_grid_points_recentres_and_holds_dx(circuit_file, tmp_path, n_p
     assert grid["x0"] == pytest.approx(-(n_points // 2) * grid["dx"], rel=1e-12)
     assert f["norm"] == pytest.approx(1.0, abs=1e-9)
     assert f["energy_max"] == pytest.approx(a["energy_max"], rel=1e-9)
+
+
+@pytest.fixture
+def kicked_file(tmp_path):
+    path = tmp_path / "kicked.json"
+    path.write_text('{"m": 1, "r": 0, "gates": [{"kind": "disp_p", "mode": 0, "t": 20.0}]}')
+    return path
+
+
+def test_simulate_grid_points_keeps_the_energy_where_the_packet_fits(kicked_file, tmp_path):
+    for extra in ([], ["--grid-points", "256"], ["--grid-points", "512"]):
+        out = tmp_path / "out.json"
+        assert main(["simulate", str(kicked_file), "--out", str(out)] + extra) == 0
+        assert json.loads(out.read_text())["energy_max"] == pytest.approx(401.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_points", [64, 72, 80, 96, 128])
+def test_simulate_grid_points_refuses_a_grid_the_packet_leaves(kicked_file, tmp_path, capsys, n_points):
+    # the packet moves to [14.9, 25.1]; on these sizes it wrapped round to a wrong energy
+    out = tmp_path / "out.json"
+    assert main(["simulate", str(kicked_file), "--grid-points", str(n_points), "--out", str(out)]) == 1
+    assert f"{n_points}-point grid too narrow for mode 0 at gate 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_grid_points_checks_mem_cap_on_the_forced_grid(tmp_path):
+    # the automatic grid (10,240 points) needs 4 x 0.164 MB; 8192 forced points 4 x 0.131 MB
+    path, out = tmp_path / "kick.json", tmp_path / "out.json"
+    path.write_text('{"m": 1, "r": 0, "gates": [{"kind": "disp_q", "mode": 0, "t": 2000.0}]}')
+    args = ["simulate", str(path), "--mem-cap-mb", "0.6", "--out", str(out)]
+    assert main(args) == 2
+    assert main(args + ["--grid-points", "8192"]) == 0
+    result = json.loads(out.read_text())
+    assert result["grids"][0]["n_points"] == 8192
+    assert result["norm"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_simulate_grid_points_refuses_sizes_outside_the_rule(circuit_file, capsys):
@@ -310,6 +368,7 @@ def test_grid_points_help_lists_the_odd_factors():
     action = next(a for a in sub.choices["simulate"]._actions if a.dest == "grid_points")
     listed = re.search(r"m in ([\d, ]+) and", action.help).group(1)
     assert tuple(int(v) for v in listed.split(", ")) == GRID_ODD_FACTORS
+    assert "a grid too narrow for the circuit" in action.help
 
 
 def test_import_loads_no_scipy():

@@ -97,6 +97,13 @@ def test_code_prep_hypothesis_guard():
         build_code_prep(2, 0.2)  # needs delta <= 1/8
 
 
+@pytest.mark.parametrize("ell", [0, -1, -3])
+def test_code_prep_rejects_ell_below_one(ell):
+    for build in (build_code_prep, build_aux_prep):
+        with pytest.raises(ValueError, match=f"ell must be >= 1, got {ell}"):
+            build(ell, 0.1)
+
+
 def test_code_prep_simulated_fidelity():
     ell, delta = 1, 0.02
     c = build_code_prep(ell, delta)

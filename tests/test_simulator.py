@@ -424,6 +424,43 @@ def test_auto_grid_memory_cap():
         auto_grid(c, mem_cap_mb=0.001)
 
 
+def test_auto_grid_forced_size_keeps_the_snapped_dx():
+    c = Circuit(1, 1, (squeeze(0, 1.5), disp_p(0, 4.0)))
+    auto = auto_grid(c)[0]
+    forced = auto_grid(c, n_points=1024)[0]
+    assert forced == centered_grid(1024, auto.dx)
+
+
+def test_auto_grid_refuses_a_forced_size_the_shift_leaves():
+    # mode 0's packet moves to [14.9, 25.1] at gate 3, the first gate of its own walk
+    c = Circuit(2, 1, (qubit_gate("H", 0), disp_p(1, 3.0), disp_p(0, 20.0)))
+    with pytest.raises(GridError, match="96-point grid too narrow for mode 0 at gate 3"):
+        auto_grid(c, n_points=96)
+
+
+def test_auto_grid_refuses_a_forced_size_below_the_vacuum():
+    with pytest.raises(GridError, match="too narrow for mode 0 at the vacuum"):
+        auto_grid(Circuit(1, 0, (disp_q(0, 2000.0),)), n_points=4096)
+
+
+def test_auto_grid_forced_size_may_sit_on_the_window():
+    # the kick leaves the position window at +-5.1, exactly the 8192-point grid's half extent
+    c = Circuit(1, 0, (disp_q(0, 2000.0),))
+    g = auto_grid(c, n_points=8192)[0]
+    assert g.extent / 2 == VACUUM_TAIL_RADIUS
+
+
+def test_auto_grid_checks_the_cap_on_the_forced_grid():
+    # the automatic grid has 10,240 points (4 x 0.164 MB); 8192 forced points need 4 x 0.131 MB
+    c = Circuit(1, 0, (disp_q(0, 2000.0),))
+    assert auto_grid(c)[0].n_points == 10240
+    with pytest.raises(ResourceCapError):
+        auto_grid(c, mem_cap_mb=0.6)
+    assert auto_grid(c, mem_cap_mb=0.6, n_points=8192)[0].n_points == 8192
+    with pytest.raises(ResourceCapError):
+        auto_grid(c, mem_cap_mb=0.5, n_points=8192)
+
+
 def test_grid_overflow_reports_gate():
     v = vacuum_state(1, 0, [centered_grid(256, 24.0 / 256)])
     c = Circuit(1, 0, (disp_p(0, 9.0),))

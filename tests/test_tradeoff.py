@@ -130,6 +130,14 @@ def test_regime_table_rejects_n_below_one():
         regime_table([0, 1], lambda n: n * n, lambda n: 1.0 / n)
 
 
+@pytest.mark.parametrize("ns", [[16], [16, 32], [16, 32, 16]])
+def test_regime_table_needs_three_distinct_n(ns):
+    # y ~ a + b n^beta has three parameters: through two points every beta fits
+    with pytest.raises(ValueError, match="at least 3 distinct n values"):
+        regime_table(ns, lambda n: n * n, lambda n: 1.0 / n)
+    assert len(regime_table([16, 64, 256], lambda n: n * n, lambda n: 1.0 / n)) == 3
+
+
 def test_smallest_counts_accepted():
     assert log2_required_energy(1, 1, 0, 2.0) == 42.0 * (46.0 + 24.0 - 1.0)
 
