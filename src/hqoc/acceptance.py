@@ -318,7 +318,7 @@ def criterion_9():
 def criterion_10():
     """Trade-off regimes over n in {16..1024} and bound/energy inversion consistency."""
     ns = [16, 32, 64, 128, 256, 512, 1024]
-    rows = regime_table(ns, lambda n: n * n, lambda n: 1.0 / n)
+    rows = regime_table(ns)
     by_label = {r.label: r for r in rows}
     ok = (
         abs(by_label["m=1"].fitted_exponent - 1.0) <= 0.1

@@ -116,12 +116,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prep(args) -> int:
+    if (args.ell is None) == (args.n is None):
+        raise CircuitError("prep requires exactly one of --ell and --n")
     if args.ell is not None:
         c = build_code_prep(args.ell, args.delta)
-    elif args.n is not None:
-        c = build_prep_circuit(args.n, args.delta)
     else:
-        raise CircuitError("prep requires --ell or --n")
+        c = build_prep_circuit(args.n, args.delta)
     _write(serialize_circuit(c) + "\n", args.emit or args.out)
     return 0
 
@@ -158,7 +158,7 @@ def cmd_tradeoff(args) -> int:
     payload: dict = {"config": _config(args, ["n", "m", "s", "epsilon", "energy", "ell", "delta"])}
     if args.table:
         ns = [int(v) for v in args.n_values.split(",")]
-        rows = regime_table(ns, lambda n: n * n, lambda n: 1.0 / n)
+        rows = regime_table(ns)
         payload["table"] = [
             {
                 "regime": r.label,
@@ -206,7 +206,9 @@ def cmd_verify(args) -> int:
     # lazy: no other subcommand needs the battery
     from .acceptance import ALL_CRITERIA, FAST_CRITERIA, run_criteria
 
-    if args.criteria:
+    if args.criteria is not None:
+        if not args.criteria.strip():
+            raise ValueError("--criteria selects no criteria")
         numbers = [int(v) for v in args.criteria.split(",")]
         unknown = [k for k in numbers if k not in ALL_CRITERIA]
         if unknown:

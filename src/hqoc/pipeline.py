@@ -332,7 +332,9 @@ def error_budget(m: int, ell: int, delta: float, s: int) -> ErrorBudget:
     eps_prep = _eps_prep(m, ell, delta)
     eps_gate = 600.0 * s * 2.0 ** (2 * ell) * delta
     eps_final = eps_prep + eps_gate
-    t_prep = build_wprep(m, ell, delta).size if delta <= 2.0 ** -(ell + 1) else 0
+    t_prep = 0
+    if delta <= 2.0 ** -(ell + 1):  # the size of build_wprep(m, ell, delta), without building it
+        t_prep = m * build_code_prep(ell, delta).size + build_aux_prep(ell, delta).size
     decl_size = 36 * ell
     t_logical = s * (4 * decl_size + 1)
     return ErrorBudget(

@@ -36,8 +36,8 @@ Occupied blocks.  Mode 0's axis is cut into blocks of one ``_linear_phase``
 table row (at least two cells; 256 on the 147,456-point code-prep grid).
 :func:`apply_circuit` reads once which blocks hold a nonzero amplitude and
 keeps their runs (maximal stretches of occupied blocks) from gate to gate in
-an :class:`_Occupancy`; every amplitude outside the runs is exactly 0, and
-the kernels touch only the runs:
+an :class:`_Occupancy`; every amplitude outside the runs is exactly 0.  The
+qubit gates and the displacements of mode 0 touch only the runs:
 
 * the private copy is the runs written into a zeroed array;
 * a phase multiplies each run by the phases of its own table rows;
@@ -47,11 +47,13 @@ the kernels touch only the runs:
   controlled shift adds the moved runs to the old ones;
 * a shift whose runs would cross an edge, a fractional (Fourier) shift and a
   fully occupied axis run the whole-axis kernel above on one full run, after
-  which the axis counts as full; shifts of other modes act within each run.
+  which the axis counts as full.
+
+A displacement of another mode runs its whole-array kernel along that mode's
+axis, which maps an all-zero slice of mode 0 to zeros.
 
 The values equal the whole-array kernels' exactly (a whole-array product can
-write -0.0 where the runs leave +0.0).  The overflow guard, the callback
-contract and the wrap behaviour are unchanged.
+write -0.0 where the runs leave +0.0).
 
 Vacuum convention: ``psi(x) = pi^{-1/4} e^{-x^2/2}``, i.e.
 ``<Q^2> = <P^2> = 1/2`` and energy ``<Q^2 + P^2> = 1``.
@@ -397,12 +399,12 @@ def _whole_cells(t: float, dx: float, n: int) -> int | None:
 def _apply_inplace(state: HybridState, g: Gate, occ: _Occupancy) -> None:
     """Apply one elementary gate to ``state``, overwriting its amplitudes and grids.
 
-    The gate touches only the runs of ``occ``, the :class:`_Occupancy` of
-    ``state``, and updates it.  Every kernel writes ``state.amps`` in place
-    (a controlled displacement through its branch view); a squeezer replaces
-    ``state.grids``.  Raises ``GridOverflowError`` when a shift leaves mass on
-    the edge cells (not when it jumps past them), and ``GridError`` when a
-    squeezer leaves a non-finite grid.
+    A gate on the qubits or on mode 0 touches only the runs of ``occ``, the
+    :class:`_Occupancy` of ``state``, and updates it.  Every kernel writes
+    ``state.amps`` in place (a controlled displacement through its branch
+    view); a squeezer replaces ``state.grids``.  Raises ``GridOverflowError``
+    when a shift leaves mass on the edge cells (not when it jumps past them),
+    and ``GridError`` when a squeezer leaves a non-finite grid.
     """
     if g.kind == "blackbox":
         raise AnalysisError("blackbox nodes cannot be simulated")
@@ -423,36 +425,30 @@ def _apply_inplace(state: HybridState, g: Gate, occ: _Occupancy) -> None:
         view = view[(slice(None),) * (state.m + g.qubit) + (1,)]
     shape = [1] * view.ndim
     shape[g.mode] = grid.n_points
-    runs = occ.runs
     if spec.shifts == "p":
         if g.mode == 0:  # the phases of the runs' own table rows, run after run
             per_block = occ.b // _phase_row(grid.n_points)
             rows = None if occ.full else np.flatnonzero(np.repeat(occ.blocks, per_block))
             phase = _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points, rows=rows)
             end = 0
-            for lo, hi in runs:
+            for lo, hi in occ.runs:
                 shape[0] = hi - lo
                 view[lo:hi] *= phase[end : end + hi - lo].reshape(shape)
                 end += hi - lo
-        else:
-            phase = _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points).reshape(shape)
-            for lo, hi in runs:
-                view[lo:hi] *= phase
+        else:  # another mode: the whole array
+            view *= _linear_phase(g.t * grid.x0, g.t * grid.dx, grid.n_points).reshape(shape)
         return
     cells = _whole_cells(g.t, grid.dx, grid.n_points)
-    if cells is not None and g.mode != 0:
-        for lo, hi in runs:
-            run = view[lo:hi]
-            run[...] = np.roll(run, cells, axis=g.mode)
-    elif cells is None or not occ.shift(view, cells, spec.controlled):
-        # a fractional shift, or a run would cross an edge: the whole axis
+    if g.mode or cells is None or not occ.shift(view, cells, spec.controlled):
+        # another mode, a fractional shift, or a run would cross an edge: the whole axis
         if cells is not None:
             view[...] = np.roll(view, cells, axis=g.mode)
         else:
             view[...] = np.fft.fft(view, axis=g.mode, norm="ortho")
             view *= _momentum_phase(grid, g.t).reshape(shape)
             view[...] = np.fft.ifft(view, axis=g.mode, norm="ortho")
-        occ.fill()
+        if g.mode == 0:  # along another axis a zero slice of mode 0 stays 0
+            occ.fill()
     _check_overflow(state)
 
 

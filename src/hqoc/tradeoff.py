@@ -39,15 +39,11 @@ def log2_sampling_error_bound(n: int, m: int, s: int, log2_energy: float) -> flo
     return _log2_prefactor(n, m, s) - ENERGY_EXPONENT * log2_energy
 
 
-def sampling_error_bound(
-    n: int, m: int, s: int, energy: float | None = None, log2_energy: float | None = None
-) -> float:
+def sampling_error_bound(n: int, m: int, s: int, energy: float) -> float:
     """min(2, 2^46 (s+m)^2 2^{24 n/m} energy^{-1/42})."""
-    if log2_energy is None:
-        if energy is None or energy <= 0:
-            raise ValueError("provide energy > 0 or log2_energy")
-        log2_energy = math.log2(energy)
-    return min(2.0, exp2_or_inf(log2_sampling_error_bound(n, m, s, log2_energy)))
+    if not energy > 0:
+        raise ValueError(f"energy must be > 0, got {energy}")
+    return min(2.0, exp2_or_inf(log2_sampling_error_bound(n, m, s, math.log2(energy))))
 
 
 def log2_required_energy(n: int, m: int, s: int, epsilon: float) -> float:
@@ -179,24 +175,23 @@ MODE_REGIMES = {
 }
 
 
-def regime_table(n_values, s_fn, eps_fn) -> list[RegimeRow]:
+def regime_table(n_values) -> list[RegimeRow]:
     """Required-energy growth for mode counts m in {1, ceil(sqrt n), n}.
 
+    The model circuit has s(n) = n^2 gates and targets the error 1/n.
     Growth classes are for the ENERGY as a function of n: a log2-energy
     fitted power ~1 means exponential energy, ~1/2 subexponential, and a
     sublinear/logarithmic log2-energy means polynomial energy.  The fit
     y ~ a + b n^beta needs at least three distinct n (``ValueError``): with
     fewer, every beta fits.
     """
-    for n in n_values:  # before the callables see n
+    for n in n_values:
         _check_counts(n)
     if len(set(n_values)) < 3:
         raise ValueError(f"the regime fit needs at least 3 distinct n values, got {list(n_values)}")
     rows = []
     for label, m_fn in MODE_REGIMES.items():
-        log2s = tuple(
-            log2_required_energy(n, m_fn(n), s_fn(n), eps_fn(n)) for n in n_values
-        )
+        log2s = tuple(log2_required_energy(n, m_fn(n), n * n, 1.0 / n) for n in n_values)
         beta = _fit_power_exponent(n_values, log2s)
         rows.append(
             RegimeRow(

@@ -73,6 +73,13 @@ def test_prep_requires_parameters(capsys):
     assert main(["prep", "--delta", "0.02"]) == 1
 
 
+def test_prep_refuses_both_n_and_ell(capsys):
+    # exit 1, not argparse's usage exit 2, which is kept for resource caps
+    assert main(["prep", "--n", "3", "--ell", "1", "--delta", "0.02"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "exactly one of --ell and --n" in err
+
+
 def test_sample_deterministic(tmp_path):
     args = ["sample", "--n", "2", "--m", "1", "--delta", "0.02", "--shots", "50",
             "--seed", "7"]
@@ -197,7 +204,12 @@ def test_unknown_criteria_rejected():
 
 @pytest.mark.parametrize(
     "criteria, message",
-    [("99", "unknown criteria: [99]"), ("11,1,11", "criteria given more than once: [11]")],
+    [
+        ("99", "unknown criteria: [99]"),
+        ("11,1,11", "criteria given more than once: [11]"),
+        ("", "--criteria selects no criteria"),
+        (" ", "--criteria selects no criteria"),
+    ],
 )
 def test_verify_refuses_numbers_with_value_error(criteria, message, capsys):
     args = build_parser().parse_args(["verify", "--criteria", criteria])

@@ -230,6 +230,23 @@ def test_qubit_gates_act_on_the_moved_runs():
     _check_against_dense(state, gates)
 
 
+def test_displacements_of_another_mode_keep_mode_0s_runs():
+    # mode 0 holds amplitude in blocks 4..5 and 10 of 16 cells; every kernel on
+    # mode 1 runs on the whole array and leaves mode 0's all-zero slices zero
+    grids = [centered_grid(256, 0.1), centered_grid(48, 0.2)]
+    amps = np.zeros((256, 48, 2), dtype=complex)
+    rng = np.random.default_rng(3)
+    packet = np.exp(-((np.arange(48) - 24) / 3.0) ** 2 / 2)  # smooth, so a Fourier shift stays off the edges
+    for lo, hi in ((64, 96), (160, 176)):
+        amps[lo:hi] = (rng.normal(size=(hi - lo, 1, 2)) + 1j * rng.normal(size=(hi - lo, 1, 2))) * packet[:, None]
+    state = HybridState(2, 1, grids, amps / np.linalg.norm(amps))
+    dx = grids[1].dx
+    gates = [disp_q(1, 0.7), ctrl_disp_q(1, 0, -1.3), disp_p(1, 3 * dx), ctrl_disp_p(1, 0, -4 * dx),
+             disp_p(1, 2.37 * dx), ctrl_disp_p(1, 0, -1.5 * dx), qubit_gate("H", 0)]
+    occ = _check_against_dense(state, gates)
+    assert occ.runs == [(64, 96), (160, 176)] and not occ.full
+
+
 def _searchsorted_vacuum(m, r, grids):
     """Reference vacuum: reach cells by ``searchsorted`` on the whole ``xs``."""
     support, block = [], np.ones((), dtype=complex)

@@ -332,6 +332,22 @@ def test_error_budget_examples():
     assert b2.l1_bound == b2.eps_final
 
 
+@pytest.mark.parametrize(
+    "m, ell, delta",
+    [(1, 1, 0.02), (2, 1, 0.05), (5, 2, 0.1), (3, 3, 1e-3), (512, 2, 0.02),  # Delta <= 2^-(ell+1)
+     (1, 1, 0.26), (4, 2, 0.13), (2, 3, 0.07)],  # past it: no preparation, T_prep = 0
+)
+def test_budget_prep_size_is_the_wprep_size_without_building_it(m, ell, delta, monkeypatch):
+    want = build_wprep(m, ell, delta).size if delta <= 2.0 ** -(ell + 1) else 0
+
+    def refuse(*args):
+        raise AssertionError("error_budget built the whole W_prep")
+
+    monkeypatch.setattr(pipeline, "build_wprep", refuse)
+    b = error_budget(m, ell, delta, 3)
+    assert b.t_prep == want and b.t_total == want + b.t_logical
+
+
 def test_budget_sizes_bound_exact_counts():
     b = error_budget(2, 1, 0.05, 4)
     assert b.t_prep == build_wprep(2, 1, 0.05).size

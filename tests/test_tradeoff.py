@@ -27,7 +27,7 @@ def test_bound_formula():
 
 def test_bound_clamped_and_vanishing():
     assert sampling_error_bound(10, 10, 100, energy=1.0) == 2.0
-    assert sampling_error_bound(4, 4, 10, log2_energy=1e9) < 1e-200
+    assert log2_sampling_error_bound(4, 4, 10, 1e9) < math.log2(1e-200)
 
 
 def test_bound_monotonicity():
@@ -43,7 +43,7 @@ def test_inversion_round_trip():
         log2_e = log2_required_energy(n, m, s, eps)
         back = log2_sampling_error_bound(n, m, s, log2_e)
         assert back == pytest.approx(math.log2(eps), rel=1e-12, abs=1e-12)
-        assert sampling_error_bound(n, m, s, log2_energy=log2_e) <= eps * (1 + 1e-12)
+        assert back <= math.log2(eps * (1 + 1e-12))
 
 
 def test_epsilon_halving_costs_2_to_42():
@@ -99,7 +99,7 @@ def test_delta_max_selection():
 
 def test_regime_table_classes():
     ns = [16, 32, 64, 128, 256, 512, 1024]
-    rows = {r.label: r for r in regime_table(ns, lambda n: n * n, lambda n: 1.0 / n)}
+    rows = {r.label: r for r in regime_table(ns)}
     assert abs(rows["m=1"].fitted_exponent - 1.0) <= 0.1
     assert rows["m=1"].growth_class == "exponential"
     assert abs(rows["m=ceil(sqrt(n))"].fitted_exponent - 0.5) <= 0.05
@@ -110,11 +110,20 @@ def test_regime_table_classes():
         assert all(a < b for a, b in zip(row.log2_energy, row.log2_energy[1:]))
 
 
+def test_regime_table_models_n_squared_gates_at_error_one_over_n():
+    ns = [16, 64, 256, 1024]
+    m_of = {"m=1": lambda n: 1, "m=ceil(sqrt(n))": lambda n: math.ceil(math.sqrt(n)), "m=n": lambda n: n}
+    for row in regime_table(ns):
+        want = tuple(log2_required_energy(n, m_of[row.label](n), n * n, 1.0 / n) for n in ns)
+        assert row.log2_energy == want
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         log2_required_energy(4, 2, 10, 3.0)
-    with pytest.raises(ValueError):
-        sampling_error_bound(4, 2, 10, energy=-1.0)
+    for energy in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="energy must be > 0"):
+            sampling_error_bound(4, 2, 10, energy=energy)
 
 
 @pytest.mark.parametrize("n, m, s", [(0, 1, 10), (4, 0, 10), (4, -1, 10), (4, 2, -1), (math.nan, 1, 10)])
@@ -127,15 +136,15 @@ def test_counts_out_of_range_rejected(n, m, s):
 
 def test_regime_table_rejects_n_below_one():
     with pytest.raises(ValueError, match="need n >= 1"):
-        regime_table([0, 1], lambda n: n * n, lambda n: 1.0 / n)
+        regime_table([0, 1])
 
 
 @pytest.mark.parametrize("ns", [[16], [16, 32], [16, 32, 16]])
 def test_regime_table_needs_three_distinct_n(ns):
     # y ~ a + b n^beta has three parameters: through two points every beta fits
     with pytest.raises(ValueError, match="at least 3 distinct n values"):
-        regime_table(ns, lambda n: n * n, lambda n: 1.0 / n)
-    assert len(regime_table([16, 64, 256], lambda n: n * n, lambda n: 1.0 / n)) == 3
+        regime_table(ns)
+    assert len(regime_table([16, 64, 256])) == 3
 
 
 def test_smallest_counts_accepted():
@@ -185,6 +194,6 @@ def test_closed_form_fit_matches_lstsq():
 
 def test_criterion_10_exponents_match_lstsq_fit():
     ns = [16, 32, 64, 128, 256, 512, 1024]
-    for row in regime_table(ns, lambda n: n * n, lambda n: 1.0 / n):
+    for row in regime_table(ns):
         ref = _lstsq_fit(np.asarray(ns, dtype=float), np.asarray(row.log2_energy))
         assert abs(row.fitted_exponent - ref) <= 1e-9
