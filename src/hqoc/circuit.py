@@ -397,7 +397,8 @@ def adjoint_circuit(c: Circuit) -> Circuit:
 # -- serialization ------------------------------------------------------------
 #
 # Circuit document: UTF-8 JSON {"m": int, "r": int, "gates": [...]}.
-# Complex matrix entries are [re, im] pairs; reals are IEEE-754 doubles.
+# Complex matrix entries are [re, im] pairs; reals are IEEE-754 doubles, and
+# a JSON integer reads as one, while a boolean or a string is refused.
 
 
 def gate_to_dict(g: Gate) -> dict:
@@ -418,6 +419,18 @@ def _maybe(decode, v):
     return None if v is None else decode(v)
 
 
+def _real(v, field: str) -> float | None:
+    """A JSON number as a float, or None for a JSON null; booleans and strings are refused.
+
+    Integers widen to floats, so a document decodes to the gates it serializes from.
+    """
+    if type(v) is float or v is None:  # by type, first: this runs per field of every parsed gate
+        return v
+    if type(v) is int:
+        return float(v)
+    raise TypeError(f"field {field!r} must be a number, got {v!r}")
+
+
 def gate_from_dict(d: dict, pos: int) -> Gate:
     """One gate from its JSON object, decoded by one constructor call per kind.
 
@@ -431,27 +444,28 @@ def gate_from_dict(d: dict, pos: int) -> Gate:
         raise CircuitError(f"unknown gate kind {kind!r} at gate {pos}", pos)
     try:
         if kind == "disp_q" or kind == "disp_p":
-            return Gate(kind, mode=_maybe(_index, d["mode"]), t=_maybe(float, d["t"]))
+            return Gate(kind, mode=_maybe(_index, d["mode"]), t=_real(d["t"], "t"))
         if kind == "ctrl_disp_q" or kind == "ctrl_disp_p":
             return Gate(kind, mode=_maybe(_index, d["mode"]), qubit=_maybe(_index, d["qubit"]),
-                        t=_maybe(float, d["t"]))
+                        t=_real(d["t"], "t"))
         if kind == "squeeze":
-            return Gate(kind, mode=_maybe(_index, d["mode"]), alpha=_maybe(float, d["alpha"]))
+            return Gate(kind, mode=_maybe(_index, d["mode"]), alpha=_real(d["alpha"], "alpha"))
         if kind == "qubit_gate":
             qubits = d.get("qubits", d.get("qubit"))
             if qubits is None:
                 raise KeyError("qubits")
             if "name" in d:
                 return qubit_gate(d["name"], qubits)
-            mat = [[complex(re, im) for re, im in row] for row in d["matrix"]]
+            mat = [[complex(_real(re, "matrix"), _real(im, "matrix")) for re, im in row]
+                   for row in d["matrix"]]
             return qubit_gate(mat, qubits)
         return Gate(  # blackbox
             kind,
             modes=_maybe(_indices, d["modes"]),
             qubits=_maybe(_indices, d.get("qubits", ())),
-            g_bar=_maybe(float, d["g_bar"]),
-            xi_bar=_maybe(float, d["xi_bar"]),
-            eta=_maybe(float, d.get("eta", 1.0)),
+            g_bar=_real(d["g_bar"], "g_bar"),
+            xi_bar=_real(d["xi_bar"], "xi_bar"),
+            eta=_real(d.get("eta", 1.0), "eta"),
             size=_maybe(_index, d.get("size")),
         )
     except KeyError as exc:
@@ -472,6 +486,8 @@ def circuit_from_dict(doc: dict) -> Circuit:
     for key in ("m", "r", "gates"):
         if key not in doc:
             raise CircuitError(f"circuit document missing {key!r}")
+    if type(doc["gates"]) is not list:
+        raise CircuitError("circuit document 'gates' must be a list of gate objects")
     gates = tuple(
         gate_from_dict(g, i) for i, g in enumerate(doc["gates"], start=1)
     )

@@ -35,14 +35,14 @@ PAD_SIGMAS = 12.0
 
 
 @dataclass(frozen=True)
-class GkpParams:
-    """(Delta, d, eps, L) of one comb-state family."""
+class CombStateSpec:
+    """One comb state: width Delta, code dimension d, truncation eps, peak count L, logical index j."""
 
     delta: float
     d: int
-    ell: int | None
     eps: float
     L: int
+    j: int
 
     def __post_init__(self):
         if not (0 < self.delta < 0.25):
@@ -53,72 +53,60 @@ class GkpParams:
             raise ValueError("eps must lie in (0, 1/(2d)]")
         if self.L % 2 or self.L < 2:
             raise ValueError("L must be a positive even integer")
-
-
-def peak_count_exponent(delta: float, ell: int) -> int:
-    """log2 of the peak count L: ``2 (ceil(log2 1/Delta) - ell)``."""
-    return 2 * (ceil_log2(1.0 / delta) - ell)
-
-
-def canonical_params(delta: float, d: int) -> GkpParams:
-    """Canonical choice eps = 1/(2d), L = 2^{2(ceil(log2 1/Delta) - floor(log2 d))}."""
-    if not (0 < delta < 0.25):
-        raise ValueError("delta must lie in (0, 1/4)")
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError("d must be an integer >= 2")
-    floor_log2_d = int(d).bit_length() - 1
-    n_exp = peak_count_exponent(delta, floor_log2_d)
-    if n_exp < 1:
-        raise ValueError("delta too large for this code dimension (L < 2)")
-    ell = floor_log2_d if d == 2 ** floor_log2_d else None
-    return GkpParams(delta=float(delta), d=int(d), ell=ell, eps=1.0 / (2 * d), L=2 ** n_exp)
-
-
-def aux_params(delta: float, ell: int) -> GkpParams:
-    """Auxiliary qubit code: d = 2 with eps = 2^-(ell+1) and L = L_{Delta, 2^ell}."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    n_exp = peak_count_exponent(delta, ell)
-    if n_exp < 1:
-        raise ValueError("delta too large for this ell (L < 2)")
-    return GkpParams(delta=float(delta), d=2, ell=1, eps=2.0 ** -(ell + 1), L=2 ** n_exp)
-
-
-@dataclass(frozen=True)
-class CombStateSpec:
-    """One comb state: family parameters plus the logical index j."""
-
-    params: GkpParams
-    j: int
-
-    def __post_init__(self):
-        if not (0 <= self.j < self.params.d):
+        if not (0 <= self.j < self.d):
             raise ValueError("logical index j out of range")
 
     @property
     def scale(self) -> float:
-        return math.sqrt(2 * math.pi * self.params.d)
+        return math.sqrt(2 * math.pi * self.d)
+
+    @property
+    def fine(self) -> float:
+        """The fine peak spacing sqrt(2 pi / d): the shift from index j to j + 1."""
+        return math.sqrt(2 * math.pi / self.d)
 
     @property
     def shift(self) -> float:
-        return math.sqrt(2 * math.pi / self.params.d) * self.j
+        return self.fine * self.j
 
     @property
     def peak_centers(self) -> np.ndarray:
-        zs = np.arange(-self.params.L // 2, self.params.L // 2)
+        zs = np.arange(-self.L // 2, self.L // 2)
         return self.scale * zs + self.shift
 
     @property
     def peak_sigma(self) -> float:
-        return self.scale * self.params.delta
+        return self.scale * self.delta
 
     @property
     def half_support(self) -> float:
-        return self.scale * self.params.eps
+        return self.scale * self.eps
+
+
+def _peak_count(delta: float, ell: int, what: str) -> int:
+    """L = 2^{2 (ceil(log2 1/Delta) - ell)}, refused below 2."""
+    n_exp = 2 * (ceil_log2(1.0 / delta) - ell)
+    if n_exp < 1:
+        raise ValueError(f"delta too large for this {what} (L < 2)")
+    return 2 ** n_exp
 
 
 def comb_spec(delta: float, d: int, j: int) -> CombStateSpec:
-    return CombStateSpec(params=canonical_params(delta, d), j=j)
+    """Canonical code state: eps = 1/(2d), L = 2^{2(ceil(log2 1/Delta) - floor(log2 d))}."""
+    if not (0 < delta < 0.25):
+        raise ValueError("delta must lie in (0, 1/4)")
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError("d must be an integer >= 2")
+    L = _peak_count(delta, int(d).bit_length() - 1, "code dimension")
+    return CombStateSpec(delta=float(delta), d=int(d), eps=1.0 / (2 * d), L=L, j=j)
+
+
+def aux_spec(delta: float, ell: int) -> CombStateSpec:
+    """Auxiliary qubit state: d = 2, j = 0, eps = 2^-(ell+1) and L = L_{Delta, 2^ell}."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    L = _peak_count(delta, ell, "ell")
+    return CombStateSpec(delta=float(delta), d=2, eps=2.0 ** -(ell + 1), L=L, j=0)
 
 
 def comb_family(delta: float, d: int) -> list[HybridState]:
@@ -163,8 +151,7 @@ def comb_wavefunction(
     when the truncation edges are negligible (``delta << eps``).
     """
     _check_grid(spec, grid, samples_per_sigma)
-    p = spec.params
-    amps = _truncated_peaks(grid, spec.shift, spec.scale, p.delta, p.eps, p.L)
+    amps = _truncated_peaks(grid, spec.shift, spec.scale, spec.delta, spec.eps, spec.L)
     return HybridState(1, 0, (grid,), amps)
 
 
@@ -239,10 +226,9 @@ def default_comb_grid(spec: CombStateSpec) -> GridSpec:
     is sampled at least ``SAMPLES_PER_SIGMA`` times per sigma; the size is the
     first of ``grid_sizes`` past ``PAD_SIGMAS`` peak sigmas beyond the support.
     """
-    fine = math.sqrt(2 * math.pi / spec.params.d)
-    k = max(0, ceil_log2(SAMPLES_PER_SIGMA * fine / spec.peak_sigma))
-    dx = fine / 2 ** k
-    top = spec.scale * (spec.params.L // 2) + spec.scale  # covers shifts for all j < d
+    k = max(0, ceil_log2(SAMPLES_PER_SIGMA * spec.fine / spec.peak_sigma))
+    dx = spec.fine / 2 ** k
+    top = spec.scale * (spec.L // 2) + spec.scale  # covers shifts for all j < d
     reach = top + spec.half_support + PAD_SIGMAS * spec.peak_sigma
     return centered_grid(grid_sizes(2.0 * reach / dx)[0], dx)
 

@@ -8,8 +8,9 @@ Circuit constructors (gate lists in application order):
   ``V = (ctrl e^{i pi Q}) H (ctrl e^{-iP}) M_2``; exact size
   ``5n + ceil(log2 1/Delta) + 3``; output approximates the L = 2^n
   integer-spaced comb of width Delta (times the qubit |0>).
-* ``build_code_prep`` / ``build_aux_prep``: append dyadic squeezer repetitions
-  reaching the net dilation ``sqrt(2 pi d)``.
+* ``build_code_prep`` / ``build_aux_prep``: the comb preparation of ``L``
+  peaks, then dyadic squeezer repetitions reaching the net dilation
+  ``sqrt(2 pi d)``, both read from the ``gkp.CombStateSpec`` of their target.
 * ``build_wprep``: one code prep per system mode plus the auxiliary prep,
   all sharing qubit 0.
 * ``build_wu``: gate-by-gate recompilation of a logical circuit with opaque
@@ -40,11 +41,10 @@ from .circuit import (
 )
 from .gkp import (
     CombStateSpec,
-    aux_params,
+    aux_spec,
     comb_spec,
     comb_wavefunction,
     default_comb_grid,
-    peak_count_exponent,
     untruncated_comb_wavefunction,
 )
 from .moments import analysis_report, ceil_log2
@@ -191,25 +191,31 @@ def prep_size_formula(n: int, delta: float) -> int:
     return 5 * n + ceil_log2(1.0 / delta) + 3
 
 
-def _code_prep(ell: int, delta: float, d: int) -> Circuit:
+def _prep_spec(ell: int, delta: float, aux: bool = False) -> CombStateSpec:
+    """The j = 0 comb state that the code (or auxiliary) prep of level ell reaches."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if not (0 < delta < 0.25) or delta > 2.0 ** -(ell + 1):
         raise ValueError("code preparation requires delta <= 2^-(ell+1) and delta < 1/4")
-    base = build_prep_circuit(peak_count_exponent(delta, ell), delta)
-    z_d, reps = z_fraction(math.sqrt(2.0 * math.pi * d))
+    return aux_spec(delta, ell) if aux else comb_spec(delta, 2 ** ell, 0)
+
+
+def _comb_prep(spec: CombStateSpec) -> Circuit:
+    """The L-peak comb prep of ``spec``, then dyadic squeezers up to its dilation."""
+    base = build_prep_circuit(spec.L.bit_length() - 1, spec.delta)
+    z_d, reps = z_fraction(spec.scale)
     gates = base.gates + tuple(squeeze(0, 2.0 ** z_d) for _ in range(reps))
     return Circuit(m=1, r=1, gates=gates)
 
 
 def build_code_prep(ell: int, delta: float) -> Circuit:
     """Preparation of the j=0 code state of the 2^ell-dimensional comb code."""
-    return _code_prep(ell, delta, 2 ** ell)
+    return _comb_prep(_prep_spec(ell, delta))
 
 
 def build_aux_prep(ell: int, delta: float) -> Circuit:
     """Preparation of the auxiliary d=2 comb state with parameters from level ell."""
-    return _code_prep(ell, delta, 2)
+    return _comb_prep(_prep_spec(ell, delta, aux=True))
 
 
 def build_wprep(m: int, ell: int, delta: float) -> Circuit:
@@ -489,14 +495,13 @@ def _with_qubit_zero(mode_state: HybridState) -> HybridState:
 
 
 def code_prep_target(ell: int, delta: float, grid: GridSpec) -> HybridState:
-    """Analytic |Sha*_Delta(0)_{2^ell}> (x) |0> on the given grid."""
-    spec = comb_spec(delta, 2 ** ell, 0)
-    return _with_qubit_zero(comb_wavefunction(spec, grid, samples_per_sigma=1.0))
+    """Analytic |Sha*_Delta(0)_{2^ell}> (x) |0> on the given grid, the state of ``build_code_prep``."""
+    return _with_qubit_zero(comb_wavefunction(_prep_spec(ell, delta), grid, samples_per_sigma=1.0))
 
 
 def aux_prep_target(ell: int, delta: float, grid: GridSpec) -> HybridState:
-    """Analytic auxiliary state (x) |0> on the given grid."""
-    spec = CombStateSpec(params=aux_params(delta, ell), j=0)
+    """Analytic auxiliary state (x) |0> on the given grid, the state of ``build_aux_prep``."""
+    spec = _prep_spec(ell, delta, aux=True)
     return _with_qubit_zero(comb_wavefunction(spec, grid, samples_per_sigma=1.0))
 
 

@@ -318,7 +318,9 @@ class _Occupancy:
         self._set(blocks)
 
     def private_copy(self, state: HybridState) -> HybridState:
-        """A copy of ``state``: its runs written into a zeroed array."""
+        """A copy of ``state``: its runs written into a zeroed array, or all of it when full."""
+        if self.full:  # also the 0-d array of a state with no mode and no qubit
+            return state.copy()
         amps = np.zeros(state.amps.shape, dtype=complex)
         for lo, hi in self.runs:
             amps[lo:hi] = state.amps[lo:hi]

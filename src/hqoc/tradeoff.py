@@ -41,8 +41,8 @@ def log2_sampling_error_bound(n: int, m: int, s: int, log2_energy: float) -> flo
 
 def sampling_error_bound(n: int, m: int, s: int, energy: float) -> float:
     """min(2, 2^46 (s+m)^2 2^{24 n/m} energy^{-1/42})."""
-    if not energy > 0:
-        raise ValueError(f"energy must be > 0, got {energy}")
+    if not (0 < energy < math.inf):
+        raise ValueError(f"energy must be > 0 and finite, got {energy}")
     return min(2.0, exp2_or_inf(log2_sampling_error_bound(n, m, s, math.log2(energy))))
 
 

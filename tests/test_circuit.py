@@ -292,7 +292,7 @@ MALFORMED_GATES = [
     ({"kind": "disp_q", "mode": 0, "t": None},
      "missing displacement strength t at gate 2"),
     ({"kind": "disp_q", "mode": 0, "t": "x"},
-     "malformed gate at gate 2: could not convert string to float: 'x'"),
+     "malformed gate at gate 2: field 't' must be a number, got 'x'"),
     ({"kind": "disp_q", "mode": 1.5, "t": 0.5},
      "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
     ({"kind": "disp_q", "mode": True, "t": 0.5},
@@ -302,7 +302,7 @@ MALFORMED_GATES = [
     ({"kind": "disp_p", "mode": 3, "t": 0.5},
      "mode index out of range at gate 2"),
     ({"kind": "disp_p", "mode": 0, "t": [1]},
-     "malformed gate at gate 2: float() argument must be a string or a real number, not 'list'"),
+     "malformed gate at gate 2: field 't' must be a number, got [1]"),
     ({"kind": "disp_p", "mode": 1.5},
      "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
     ({"kind": "ctrl_disp_q", "mode": 0, "t": 0.5},
@@ -322,7 +322,7 @@ MALFORMED_GATES = [
     ({"kind": "squeeze", "mode": 0, "alpha": None},
      "non-positive alpha at gate 2"),
     ({"kind": "squeeze", "mode": 0, "alpha": "two"},
-     "malformed gate at gate 2: could not convert string to float: 'two'"),
+     "malformed gate at gate 2: field 'alpha' must be a number, got 'two'"),
     ({"kind": "qubit_gate", "name": "H"},
      "missing field 'qubits' for 'qubit_gate' at gate 2"),
     ({"kind": "qubit_gate", "name": "Q", "qubits": [0]},
@@ -357,6 +357,23 @@ MALFORMED_GATES = [
      "missing field 'modes' for 'blackbox' at gate 2"),
     ({"kind": "blackbox", "modes": [0], "qubits": None, "g_bar": 2.0, "xi_bar": 1.0},
      "missing field 'qubits' for 'blackbox' at gate 2"),
+    # booleans and numeric strings are not numbers, though float() takes them
+    ({"kind": "disp_q", "mode": 0, "t": True},
+     "malformed gate at gate 2: field 't' must be a number, got True"),
+    ({"kind": "ctrl_disp_p", "mode": 0, "qubit": 0, "t": "1"},
+     "malformed gate at gate 2: field 't' must be a number, got '1'"),
+    ({"kind": "squeeze", "mode": 0, "alpha": True},
+     "malformed gate at gate 2: field 'alpha' must be a number, got True"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": "3", "xi_bar": 1.0},
+     "malformed gate at gate 2: field 'g_bar' must be a number, got '3'"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": False},
+     "malformed gate at gate 2: field 'xi_bar' must be a number, got False"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": 1.0, "eta": "1"},
+     "malformed gate at gate 2: field 'eta' must be a number, got '1'"),
+    ({"kind": "qubit_gate", "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]], "qubits": [0]},
+     "malformed gate at gate 2: field 'matrix' must be a number, got True"),
+    ({"kind": "qubit_gate", "matrix": [[[0, 0], [1, "0"]], [[1, 0], [0, 0]]], "qubits": [0]},
+     "malformed gate at gate 2: field 'matrix' must be a number, got '0'"),
 ]
 
 
@@ -368,3 +385,22 @@ def test_malformed_gate_messages(gate, message):
         parse_circuit(json.dumps(doc))
     assert str(err.value) == message
     assert err.value.position == 2
+
+
+@pytest.mark.parametrize("gates", [5, None, {"kind": "disp_q"}, "[]"])
+def test_gates_that_are_not_a_list_are_refused(gates):
+    with pytest.raises(CircuitError, match="'gates' must be a list of gate objects"):
+        parse_circuit(json.dumps({"m": 1, "r": 0, "gates": gates}))
+
+
+def test_integer_fields_decode_to_the_floats_they_serialize_from():
+    doc = {"m": 1, "r": 1, "gates": [
+        {"kind": "disp_q", "mode": 0, "t": 1},
+        {"kind": "squeeze", "mode": 0, "alpha": 2},
+        {"kind": "qubit_gate", "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "qubits": [0]},
+        {"kind": "blackbox", "modes": [0], "g_bar": 3, "xi_bar": 0, "eta": 1},
+    ]}
+    c = parse_circuit(json.dumps(doc))
+    assert c == Circuit(1, 1, (disp_q(0, 1.0), squeeze(0, 2.0), qubit_gate("X", 0),
+                               blackbox((0,), (), g_bar=3.0, xi_bar=0.0)))
+    assert [type(v) for v in (c.gates[0].t, c.gates[1].alpha, c.gates[3].g_bar)] == [float] * 3

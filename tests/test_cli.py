@@ -43,6 +43,20 @@ def test_analyze_rejects_null_blackbox_field(field, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: missing field {field!r} for 'blackbox' at gate 1\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 1, "r": 0, "gates": 5}, "'gates' must be a list of gate objects"),
+    ({"m": 1, "r": 0, "gates": None}, "'gates' must be a list of gate objects"),
+    ({"m": 1, "r": 0, "gates": [{"kind": "disp_q", "mode": 0, "t": True}]},
+     "field 't' must be a number, got True"),
+])
+def test_analyze_refuses_malformed_documents(doc, message, tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_substitute(circuit_file, tmp_path, capsys):
     out = tmp_path / "sub.json"
     assert main(["substitute", str(circuit_file), "--out", str(out)]) == 0
@@ -58,6 +72,16 @@ def test_simulate(circuit_file, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["norm"] == pytest.approx(1.0, abs=1e-9)
     assert payload["energy_max"] <= payload["analysis"]["energy_upper_bound"]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_simulate_circuit_with_no_mode(r, tmp_path):
+    # r = 0 holds a 0-d amplitude array: the empty circuit on the empty register
+    path, out = tmp_path / "circuit.json", tmp_path / "sim.json"
+    path.write_text(json.dumps({"m": 0, "r": r, "gates": []}))
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["norm"], payload["grids"], payload["energy_per_mode"]) == (1.0, [], [])
 
 
 def test_prep_gate_count(tmp_path):
@@ -158,6 +182,13 @@ def test_tradeoff_point_queries(tmp_path):
                  "0.5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["required_energy"]["log2"] > 0
+
+
+@pytest.mark.parametrize("energy", ["inf", "nan", "0"])
+def test_tradeoff_refuses_energy_that_is_not_finite_and_positive(energy, capsys):
+    assert main(["tradeoff", "--energy", energy]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "energy must be > 0 and finite" in err
 
 
 def test_lowerbound(tmp_path):

@@ -9,9 +9,7 @@ from hqoc.gkp import (
     PAD_SIGMAS,
     SAMPLES_PER_SIGMA,
     CombStateSpec,
-    GkpParams,
-    aux_params,
-    canonical_params,
+    aux_spec,
     comb_family,
     comb_spec,
     comb_wavefunction,
@@ -27,32 +25,33 @@ from hqoc.simulator import (
 
 
 def test_canonical_params_dyadic():
-    p = canonical_params(1 / 16, 4)
+    p = comb_spec(1 / 16, 4, 0)
     assert p.eps == pytest.approx(1 / 8)
     assert p.L == 16
-    assert p.ell == 2
 
 
 def test_canonical_params_non_dyadic_delta():
-    p = canonical_params(0.1, 2)
+    p = comb_spec(0.1, 2, 0)
     assert p.eps == pytest.approx(1 / 4)
     assert p.L == 64  # ceil(log2 10) = 4, exponent 2(4-1)
 
 
 def test_aux_params():
-    p = aux_params(1 / 16, 2)
-    assert p.d == 2
+    p = aux_spec(1 / 16, 2)
+    assert (p.d, p.j) == (2, 0)
     assert p.eps == pytest.approx(2.0 ** -3)
     assert p.L == 2 ** (2 * (4 - 2))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        canonical_params(0.3, 4)
+        comb_spec(0.3, 4, 0)
     with pytest.raises(ValueError):
-        canonical_params(0.01, 1)
-    with pytest.raises(ValueError):
-        GkpParams(delta=0.1, d=4, ell=2, eps=0.3, L=4)
+        comb_spec(0.01, 1, 0)
+    with pytest.raises(ValueError, match="eps must lie"):  # eps > 1/(2d)
+        CombStateSpec(delta=0.1, d=4, eps=0.3, L=4, j=0)
+    with pytest.raises(ValueError, match="j out of range"):
+        comb_spec(0.1, 4, 4)
 
 
 def test_comb_norm_and_peaks():
@@ -63,7 +62,7 @@ def test_comb_norm_and_peaks():
     # density maxima sit on the predicted peak centers
     dens = np.abs(st.amps) ** 2
     xs = grid.xs
-    top = xs[np.argsort(dens)[-spec.params.L:]]
+    top = xs[np.argsort(dens)[-spec.L:]]
     assert np.allclose(np.sort(top), np.sort(spec.peak_centers), atol=grid.dx)
 
 
@@ -87,8 +86,8 @@ def test_support_set_geometry():
     # ell=1: centers 2 sqrt(pi) z, half-width sqrt(pi/4)
     spec = comb_spec(1 / 16, 2, 0)
     intervals = support_set(spec)
-    assert len(intervals) == spec.params.L
-    lo, hi = intervals[spec.params.L // 2]  # the z=0 interval
+    assert len(intervals) == spec.L
+    lo, hi = intervals[spec.L // 2]  # the z=0 interval
     assert (lo, hi) == pytest.approx((-math.sqrt(math.pi / 4), math.sqrt(math.pi / 4)))
     centers = spec.peak_centers
     assert np.allclose(np.diff(centers), 2 * math.sqrt(math.pi))
@@ -96,11 +95,9 @@ def test_support_set_geometry():
 
 def test_supports_disjoint_across_logical_indices():
     # at eps = 1/(2d) code states of distinct j have disjoint supports (orthonormal family)
-    params = canonical_params(1 / 16, 4)
     all_intervals = []
     for j in range(4):
-        all_intervals += [(lo, hi, j) for lo, hi in
-                          support_set(CombStateSpec(params=params, j=j))]
+        all_intervals += [(lo, hi, j) for lo, hi in support_set(comb_spec(1 / 16, 4, j))]
     all_intervals.sort()
     for (lo1, hi1, j1), (lo2, hi2, j2) in zip(all_intervals, all_intervals[1:]):
         if j1 != j2:
@@ -110,9 +107,8 @@ def test_supports_disjoint_across_logical_indices():
 def test_support_contains_post_preimage_of_peaks():
     from hqoc.pipeline import discretize
 
-    params = canonical_params(1 / 16, 4)
     for j in range(4):
-        spec = CombStateSpec(params=params, j=j)
+        spec = comb_spec(1 / 16, 4, j)
         for lo, hi in support_set(spec):
             for x in np.linspace(lo + 1e-9, hi - 1e-9, 7):
                 assert int(discretize(x, 2)) == j
@@ -188,12 +184,11 @@ def test_untruncated_comb_bit_identical_to_full_grid_sum():
 
 def _comb_reference(spec, grid):
     """The comb from the closed form with whole-array temporaries."""
-    p = spec.params
     u = (grid.xs - spec.shift) / spec.scale
     z = np.rint(u)
     w = u - z
-    inside = (np.abs(w) < p.eps) & (z >= -p.L // 2) & (z <= p.L // 2 - 1)
-    psi = np.where(inside, np.exp(-w ** 2 / (2 * p.delta ** 2)), 0.0)
+    inside = (np.abs(w) < spec.eps) & (z >= -spec.L // 2) & (z <= spec.L // 2 - 1)
+    psi = np.where(inside, np.exp(-w ** 2 / (2 * spec.delta ** 2)), 0.0)
     amps = psi.astype(complex)
     amps /= np.linalg.norm(amps)
     return amps
@@ -244,7 +239,7 @@ def test_default_comb_grid_takes_the_smallest_allowed_size(delta, d):
     spec = comb_spec(delta, d, 0)
     fine = math.sqrt(2 * math.pi / d)
     dx = fine / 2 ** max(0, ceil_log2(SAMPLES_PER_SIGMA * fine / spec.peak_sigma))
-    top = spec.scale * (spec.params.L // 2 + 1)
+    top = spec.scale * (spec.L // 2 + 1)
     need = 2 * (top + spec.half_support + PAD_SIGMAS * spec.peak_sigma) / dx
     grid = default_comb_grid(spec)
     _check_smallest_allowed(grid, need, dx)

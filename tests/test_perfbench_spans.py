@@ -13,19 +13,25 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hqoc.simulator import centered_grid, vacuum_state
+from hqoc.simulator import HybridState, centered_grid, vacuum_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def _function_spans() -> dict:
+@functools.cache
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.FUNCTION_SPANS
+    return module
+
+
+def _function_spans() -> dict:
+    return _spans().FUNCTION_SPANS
 
 
 def _module_attributes() -> list[tuple[str, str, str]]:
@@ -86,3 +92,20 @@ def test_state_and_grid_members_resolve():
     assert [a for a in STATE_MEMBERS if not hasattr(state, a)] == []
     assert [a for a in GRID_MEMBERS if not hasattr(grid, a)] == []
     assert callable(state.position_density)
+
+
+def test_band_share_reads_mode_a_on_array_axis_a():
+    # spans.band_share FFTs ``state.amps`` along ``axis=mode``: mode a must be array axis a
+    spans = _spans()
+    grids = (centered_grid(256, 0.1), centered_grid(192, 0.2))
+    x0, x1 = grids[0].xs, grids[1].xs
+    psi0 = np.exp(-x0 ** 2 / (2 * 0.3 ** 2) + 2j * x0)  # narrow, kicked: a wide band
+    psi1 = np.exp(-x1 ** 2 / (2 * 2.5 ** 2))  # wide: a narrow band
+    amps = np.einsum("i,j,k->ijk", psi0, psi1, np.array([0.6, 0.8j]))
+    state = HybridState(2, 1, grids, amps / np.linalg.norm(amps))
+    shares = []
+    for a, grid in enumerate(grids):
+        want = spans._radius(np.fft.fftshift(grid.momenta), np.fft.fftshift(state.momentum_density(a)))
+        shares.append(spans.band_share(state, a))
+        assert shares[-1] == pytest.approx(want / grid.p_max, rel=1e-12)
+    assert shares[0] > 2 * shares[1]  # the modes differ, so a swapped axis cannot pass

@@ -124,6 +124,8 @@ def test_input_validation():
     for energy in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="energy must be > 0"):
             sampling_error_bound(4, 2, 10, energy=energy)
+    with pytest.raises(ValueError, match="energy must be > 0 and finite, got inf"):
+        sampling_error_bound(4, 2, 10, energy=math.inf)
 
 
 @pytest.mark.parametrize("n, m, s", [(0, 1, 10), (4, 0, 10), (4, -1, 10), (4, 2, -1), (math.nan, 1, 10)])
