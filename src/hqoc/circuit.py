@@ -397,8 +397,7 @@ def adjoint_circuit(c: Circuit) -> Circuit:
 # -- serialization ------------------------------------------------------------
 #
 # Circuit document: UTF-8 JSON {"m": int, "r": int, "gates": [...]}.
-# Complex matrix entries are [re, im] pairs; reals are IEEE-754 doubles, and
-# a JSON integer reads as one, while a boolean or a string is refused.
+# Complex matrix entries are [re, im] pairs; reals are IEEE-754 doubles.
 
 
 def gate_to_dict(g: Gate) -> dict:
@@ -420,15 +419,12 @@ def _maybe(decode, v):
 
 
 def _real(v, field: str) -> float | None:
-    """A JSON number as a float, or None for a JSON null; booleans and strings are refused.
-
-    Integers widen to floats, so a document decodes to the gates it serializes from.
-    """
-    if type(v) is float or v is None:  # by type, first: this runs per field of every parsed gate
+    """A JSON number as a float (integers widen), None for a JSON null; booleans and strings fail."""
+    if type(v) is float or v is None:  # by type: this runs per field of every parsed gate
         return v
-    if type(v) is int:
-        return float(v)
-    raise TypeError(f"field {field!r} must be a number, got {v!r}")
+    if type(v) is not int:
+        raise TypeError(f"field {field!r} must be a number, got {v!r}")
+    return float(v)
 
 
 def gate_from_dict(d: dict, pos: int) -> Gate:

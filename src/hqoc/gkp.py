@@ -62,7 +62,6 @@ class CombStateSpec:
 
     @property
     def fine(self) -> float:
-        """The fine peak spacing sqrt(2 pi / d): the shift from index j to j + 1."""
         return math.sqrt(2 * math.pi / self.d)
 
     @property
@@ -84,7 +83,6 @@ class CombStateSpec:
 
 
 def _peak_count(delta: float, ell: int, what: str) -> int:
-    """L = 2^{2 (ceil(log2 1/Delta) - ell)}, refused below 2."""
     n_exp = 2 * (ceil_log2(1.0 / delta) - ell)
     if n_exp < 1:
         raise ValueError(f"delta too large for this {what} (L < 2)")
@@ -102,9 +100,7 @@ def comb_spec(delta: float, d: int, j: int) -> CombStateSpec:
 
 
 def aux_spec(delta: float, ell: int) -> CombStateSpec:
-    """Auxiliary qubit state: d = 2, j = 0, eps = 2^-(ell+1) and L = L_{Delta, 2^ell}."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    """Auxiliary qubit state: d = 2, j = 0, eps = 2^-(ell+1) and L = L_{Delta, 2^ell}; ell >= 1."""
     L = _peak_count(delta, ell, "ell")
     return CombStateSpec(delta=float(delta), d=2, eps=2.0 ** -(ell + 1), L=L, j=0)
 

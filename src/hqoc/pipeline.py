@@ -8,9 +8,8 @@ Circuit constructors (gate lists in application order):
   ``V = (ctrl e^{i pi Q}) H (ctrl e^{-iP}) M_2``; exact size
   ``5n + ceil(log2 1/Delta) + 3``; output approximates the L = 2^n
   integer-spaced comb of width Delta (times the qubit |0>).
-* ``build_code_prep`` / ``build_aux_prep``: the comb preparation of ``L``
-  peaks, then dyadic squeezer repetitions reaching the net dilation
-  ``sqrt(2 pi d)``, both read from the ``gkp.CombStateSpec`` of their target.
+* ``build_code_prep`` / ``build_aux_prep``: the comb prep of ``L`` peaks, then
+  dyadic squeezers up to ``sqrt(2 pi d)``; the target's ``gkp.CombStateSpec`` sets both.
 * ``build_wprep``: one code prep per system mode plus the auxiliary prep,
   all sharing qubit 0.
 * ``build_wu``: gate-by-gate recompilation of a logical circuit with opaque
@@ -201,7 +200,6 @@ def _prep_spec(ell: int, delta: float, aux: bool = False) -> CombStateSpec:
 
 
 def _comb_prep(spec: CombStateSpec) -> Circuit:
-    """The L-peak comb prep of ``spec``, then dyadic squeezers up to its dilation."""
     base = build_prep_circuit(spec.L.bit_length() - 1, spec.delta)
     z_d, reps = z_fraction(spec.scale)
     gates = base.gates + tuple(squeeze(0, 2.0 ** z_d) for _ in range(reps))
