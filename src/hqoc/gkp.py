@@ -134,9 +134,9 @@ def _check_grid(spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float) -
 
 
 def comb_wavefunction(
-    spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = SAMPLES_PER_SIGMA
+    spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = SAMPLES_PER_SIGMA, r: int = 0
 ) -> HybridState:
-    """Sampled, renormalized closed-form comb state on one mode.
+    """Sampled, renormalized closed-form comb state on one mode, times ``r`` qubits at |0...0>.
 
     The default resolution requirement (8 samples per peak sigma) suits
     decoding and quadrature use.  ``auto_grid`` sizes simulation grids by the
@@ -147,8 +147,28 @@ def comb_wavefunction(
     when the truncation edges are negligible (``delta << eps``).
     """
     _check_grid(spec, grid, samples_per_sigma)
-    amps = _truncated_peaks(grid, spec.shift, spec.scale, spec.delta, spec.eps, spec.L)
-    return HybridState(1, 0, (grid,), amps)
+    amps = _truncated_peaks(grid, spec.shift, spec.scale, spec.delta, spec.eps, spec.L, r)
+    return HybridState(1, r, (grid,), amps)
+
+
+def _real_amps(grid: GridSpec, r: int, cells, values: np.ndarray) -> np.ndarray:
+    """Unit-norm amplitudes of one mode and ``r`` qubits: ``values`` at ``cells`` of the |0...0> branch.
+
+    A comb is real: only the real parts of that branch are written, so no
+    one-mode array is copied in.  ``sqrt(re . re)`` is the sum
+    ``np.linalg.norm`` takes, without its copy of a strided view, and numpy
+    divides a complex array by a real as a product with the reciprocal: at
+    ``r = 0`` this is ``a / np.linalg.norm(a)`` bit for bit.  ``GridError``
+    when the norm is 0.
+    """
+    amps = np.zeros((grid.n_points,) + (2,) * r, dtype=complex)
+    re = amps[(slice(None),) + (0,) * r].real
+    re[cells] = values
+    nrm = np.sqrt(re.dot(re))
+    if nrm == 0:
+        raise GridError("comb support does not intersect the grid")
+    re *= 1.0 / nrm
+    return amps
 
 
 def _window_cells(grid: GridSpec, lo: np.ndarray, hi: np.ndarray, pad: int = 0):
@@ -163,14 +183,15 @@ def _window_cells(grid: GridSpec, lo: np.ndarray, hi: np.ndarray, pad: int = 0):
 
 
 def _truncated_peaks(
-    grid: GridSpec, shift: float, scale: float, delta: float, eps: float, L: int
+    grid: GridSpec, shift: float, scale: float, delta: float, eps: float, L: int, r: int = 0
 ) -> np.ndarray:
     """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1.
 
     ``u = (x - shift) / scale`` over the cells x of ``grid``.  Only the cells
     of each peak's window (its support, padded by a cell on each side) are
     computed, with the same float steps as over the whole grid; the Gaussian
-    is evaluated on those inside a peak and written into one zeroed array.
+    is evaluated on those inside a peak and written into the |0...0> branch
+    of one zeroed array of one mode and ``r`` qubits.
     """
     centres = scale * np.arange(-L // 2, L // 2) + shift
     cells, _ = _window_cells(grid, centres - scale * eps, centres + scale * eps, pad=1)
@@ -185,21 +206,17 @@ def _truncated_peaks(
     np.negative(w, out=w)
     w /= 2 * delta ** 2
     np.exp(w, out=w)
-    if not w.any():
-        raise GridError("comb support does not intersect the grid")
-    amps = np.zeros(grid.n_points, dtype=complex)
-    amps[cells] = w
-    amps /= np.linalg.norm(amps)
-    return amps
+    return _real_amps(grid, r, cells, w)
 
 
-def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> HybridState:
-    """``|Sha_{L,Delta}>``: full (untruncated) Gaussians at L integer centers.
+def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec, r: int = 0) -> HybridState:
+    """``|Sha_{L,Delta}>``: full (untruncated) Gaussians at L integer centers, times ``r`` qubits at |0...0>.
 
     Each Gaussian is evaluated only on the cells within ``EXP_UNDERFLOW_REACH``
     widths of its centre, all peaks in one array, and ``np.add.at`` adds them
     into each cell in ascending z: the full-grid sum bit for bit, since a
-    peak out of reach adds an exact 0.
+    peak out of reach adds an exact 0.  The peaks' cells and values are
+    freed before the state is allocated beside the sum.
     """
     zs = np.arange(-L // 2, L // 2)
     reach = delta * EXP_UNDERFLOW_REACH
@@ -207,12 +224,8 @@ def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec) -> Hybri
     gauss = np.exp(-((grid.xs_at(cells) - np.repeat(zs, counts)) ** 2) / (2 * delta ** 2))
     psi = np.zeros(grid.n_points)
     np.add.at(psi, cells, gauss)
-    amps = psi.astype(complex)
-    nrm = np.linalg.norm(amps)
-    if nrm == 0:
-        raise GridError("comb support does not intersect the grid")
-    amps /= nrm
-    return HybridState(1, 0, (grid,), amps)
+    del cells, gauss
+    return HybridState(1, r, (grid,), _real_amps(grid, r, ..., psi))
 
 
 def default_comb_grid(spec: CombStateSpec) -> GridSpec:

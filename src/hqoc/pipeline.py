@@ -190,11 +190,16 @@ def prep_size_formula(n: int, delta: float) -> int:
     return 5 * n + ceil_log2(1.0 / delta) + 3
 
 
+def _prep_admissible(ell: int, delta: float) -> bool:
+    """The prep hypothesis at level ell >= 1: 0 < Delta < 1/4 and Delta <= 2^-(ell+1)."""
+    return 0 < delta < 0.25 and delta <= 2.0 ** -(ell + 1)
+
+
 def _prep_spec(ell: int, delta: float, aux: bool = False) -> CombStateSpec:
     """The j = 0 comb state that the code (or auxiliary) prep of level ell reaches."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if not (0 < delta < 0.25) or delta > 2.0 ** -(ell + 1):
+    if not _prep_admissible(ell, delta):
         raise ValueError("code preparation requires delta <= 2^-(ell+1) and delta < 1/4")
     return aux_spec(delta, ell) if aux else comb_spec(delta, 2 ** ell, 0)
 
@@ -337,7 +342,7 @@ def error_budget(m: int, ell: int, delta: float, s: int) -> ErrorBudget:
     eps_gate = 600.0 * s * 2.0 ** (2 * ell) * delta
     eps_final = eps_prep + eps_gate
     t_prep = 0
-    if delta <= 2.0 ** -(ell + 1):  # the size of build_wprep(m, ell, delta), without building it
+    if _prep_admissible(ell, delta):  # the size of build_wprep(m, ell, delta), without building it
         t_prep = m * build_code_prep(ell, delta).size + build_aux_prep(ell, delta).size
     decl_size = 36 * ell
     t_logical = s * (4 * decl_size + 1)
@@ -382,9 +387,15 @@ def encode_basis_state(
 
 
 def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> list[HybridState]:
-    """Analytic encoding of a superposition {bits: amplitude} on one mode, as a one-state list."""
+    """Analytic encoding of a superposition {bits: amplitude} on one mode, as a one-state list.
+
+    ``ValueError``, before any mode is built, unless some coefficient is nonzero and all are finite.
+    """
     if layout.m != 1:
         raise ValueError("encoded superpositions are held on one mode (m = 1)")
+    coeffs = np.array(list(amplitudes.values()), dtype=complex)
+    if not (coeffs.any() and np.isfinite(coeffs).all()):
+        raise ValueError("a superposition needs finite coefficients, not all 0")
     total = None
     for bits, coeff in amplitudes.items():
         [basis] = encode_basis_state(bits, layout, delta)
@@ -483,24 +494,18 @@ def simulate_prep(n: int, delta: float):
 
 def prep_target_state(n: int, delta: float, grid: GridSpec) -> HybridState:
     """Analytic target |Sha_{2^n, Delta}> (x) |0> on the given grid."""
-    return _with_qubit_zero(untruncated_comb_wavefunction(2 ** n, delta, grid))
-
-
-def _with_qubit_zero(mode_state: HybridState) -> HybridState:
-    amps = np.zeros(mode_state.amps.shape + (2,), dtype=complex)
-    amps[:, 0] = mode_state.amps
-    return HybridState(1, 1, mode_state.grids, amps)
+    return untruncated_comb_wavefunction(2 ** n, delta, grid, r=1)
 
 
 def code_prep_target(ell: int, delta: float, grid: GridSpec) -> HybridState:
     """Analytic |Sha*_Delta(0)_{2^ell}> (x) |0> on the given grid, the state of ``build_code_prep``."""
-    return _with_qubit_zero(comb_wavefunction(_prep_spec(ell, delta), grid, samples_per_sigma=1.0))
+    return comb_wavefunction(_prep_spec(ell, delta), grid, samples_per_sigma=1.0, r=1)
 
 
 def aux_prep_target(ell: int, delta: float, grid: GridSpec) -> HybridState:
     """Analytic auxiliary state (x) |0> on the given grid, the state of ``build_aux_prep``."""
     spec = _prep_spec(ell, delta, aux=True)
-    return _with_qubit_zero(comb_wavefunction(spec, grid, samples_per_sigma=1.0))
+    return comb_wavefunction(spec, grid, samples_per_sigma=1.0, r=1)
 
 
 def simulate_wprep_factorized(m: int, ell: int, delta: float) -> dict:

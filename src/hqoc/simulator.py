@@ -21,7 +21,7 @@ Gate kernels:
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
   interpolation; legal because the gate set has no controlled squeezing, so
   ``dx`` is global per mode);
-* qubit gates: 2x2 / 4x4 ``matmul`` on the qubit axes;
+* qubit gates: 2x2 / 4x4 ``matmul`` on the qubit axes, chunk by chunk;
 * controlled displacements act on the control-bit-1 qubit branches only.
 
 Both displacement phases are linear in the cell index and are built from two
@@ -41,7 +41,7 @@ qubit gates and the displacements of mode 0 touch only the runs:
 
 * the private copy is the runs written into a zeroed array;
 * a phase multiplies each run by the phases of its own table rows;
-* a qubit gate writes each run's product back into the run;
+* a qubit gate writes each run's product back into the run, chunk by chunk;
 * a whole-cell shift whose runs stay inside the grid moves each run in place,
   runs in the shift's direction first, and zeroes the cells it vacates; a
   controlled shift adds the moved runs to the old ones;
@@ -85,21 +85,29 @@ MIN_GRID_POINTS = 256
 GRID_ODD_FACTORS = (1, 3, 5, 9, 15)
 # Memory cap in MB of a run's working set when the caller gives none.
 DEFAULT_MEM_CAP_MB = 1024.0
+# Most cells of mode 0 in one qubit-gate product, the gate's only temporary:
+# 4,096 cells of one mode and one qubit are 128 KiB, where the largest run of
+# the code prep (l=1, Delta=0.02; 112,896 cells) made 3.6 MB.  On one mode a
+# k-qubit product has 4,096 x 2^(r-k) rows, under the 65,536 from which
+# OpenBLAS starts its worker thread (whose buffers the process keeps) for
+# r - k <= 3.  A power of two, as blocks are, so every chunk holds at least
+# two cells.  Prep benchmark peak RSS (2 cores, 12 s runs): 53.2-53.8 MB at
+# 4,096 cells, 53.9-54.1 MB at 16,384.
+QUBIT_CHUNK_CELLS = 4096
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
 # ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state and
 # its private copy, i.e. 2 copies; one kernel's temporaries come on top: a
-# qubit gate's product of one run (up to a copy on a full axis), the phases of
-# the occupied cells (half a copy with one qubit), a moved run's buffer, or on
-# the whole-axis path a shift's roll or transform and the FFT plan.  Outside
-# the kernels, the float temporaries of comb building (1.36 copies) and
-# sampling come on top.  Measured ``tracemalloc`` peaks: 2.77 for
-# ``apply_circuit`` of the code prep (l=1, Delta=0.02; 147,456 points) with
-# the caller's vacuum held, its largest run's product on top (2.78 for the
-# comb prep, n=8; 36,864 points); 2.00 for either when the vacuum is freed
-# once copied; 2.04 for ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a
-# mode's private copy and its shift's roll, the comb it copied already
-# freed).  Rounded up to 4.
+# qubit gate's product of one chunk, the phases of the occupied cells (half a
+# copy with one qubit), a moved run's buffer, or on the whole-axis path a
+# shift's roll or transform and the FFT plan.  Outside the kernels, the float
+# temporaries of comb building (1.35 copies) and sampling come on top.
+# Measured ``tracemalloc`` peaks: 2.45 for ``apply_circuit`` of the code prep
+# (l=1, Delta=0.02; 147,456 points) with the caller's vacuum held, a
+# controlled kick's phases on top (2.62 for the comb prep, n=8; 36,864
+# points); 2.00 for either when the vacuum is freed once copied; 2.00 for
+# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a mode's private copy and
+# its shift's roll, the comb it copied already freed).  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -210,7 +218,11 @@ class HybridState:
         return float(np.linalg.norm(self.amps))
 
     def normalize(self) -> "HybridState":
-        self.amps /= np.linalg.norm(self.amps)
+        """Scale to unit norm in place; ``ValueError`` unless the norm is finite and > 0."""
+        nrm = np.linalg.norm(self.amps)
+        if not (math.isfinite(nrm) and nrm > 0):
+            raise ValueError(f"cannot normalize a state of norm {nrm}")
+        self.amps /= nrm
         return self
 
     def position_density(self, mode: int = 0) -> np.ndarray:
@@ -370,18 +382,21 @@ class _Occupancy:
 def _apply_qubit_matrix(
     state: HybridState, mat: np.ndarray, axes: tuple[int, ...], occ: _Occupancy
 ) -> None:
-    """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest) in place, run by run.
+    """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest) in place.
 
-    Each run's product is written back through the ``moveaxis`` view of
-    ``state.amps``.  A run holds at least two cells, so each ``matmul`` takes
-    the BLAS path of one over the whole array, bit for bit.
+    Each run goes in chunks of at most ``QUBIT_CHUNK_CELLS`` cells of mode 0,
+    each chunk's product written back through the ``moveaxis`` view of
+    ``state.amps`` before the next.  Rows are independent and a chunk holds at
+    least two cells, so each ``matmul`` takes the BLAS path of one over the
+    whole array, bit for bit.
     """
     amps, k = state.amps, len(axes)
     moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
     mt = mat.T
     for lo, hi in occ.runs:
-        run = moved[lo:hi]
-        run[...] = np.matmul(run.reshape(-1, 2 ** k), mt).reshape(run.shape)
+        for start in range(lo, hi, QUBIT_CHUNK_CELLS):
+            chunk = moved[start : min(start + QUBIT_CHUNK_CELLS, hi)]
+            chunk[...] = np.matmul(chunk.reshape(-1, 2 ** k), mt).reshape(chunk.shape)
 
 
 def _momentum_phase(grid: GridSpec, t: float) -> np.ndarray:
@@ -563,12 +578,16 @@ def homodyne_sample(
     positions are reported at cell centers, computed for the sampled cells
     only.  The stream is a deterministic function of the seed; a Generator
     passed as ``seed`` is used as it is, so successive calls can share one.
+    Raises ``ValueError`` unless the total probability is finite and > 0.
     """
     rng = np.random.default_rng(seed)
     cdf = np.abs(state.amps.ravel())
     cdf *= cdf
     np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
+    total = cdf[-1]  # a NaN or inf anywhere carries into the last partial sum
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"cannot sample a state of total probability {total}")
+    cdf /= total
     flat = np.searchsorted(cdf, rng.random(shots), side="right")
     cells = np.unravel_index(np.minimum(flat, cdf.size - 1), state.amps.shape)
     ys = np.empty((shots, state.m))

@@ -10,6 +10,7 @@ zero may differ (a dense product can write -0.0 where the runs leave +0.0).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hqoc.simulator import (
     BOUNDARY_MASS_TOL,
     EDGE_CELLS,
     EXP_UNDERFLOW_REACH,
+    QUBIT_CHUNK_CELLS,
     GridOverflowError,
     GridSpec,
     HybridState,
@@ -39,6 +41,8 @@ from hqoc.simulator import (
     _phase_row,
     _whole_cells,
     apply_circuit,
+    apply_gate,
+    auto_grid,
     centered_grid,
     vacuum_state,
 )
@@ -301,3 +305,58 @@ def test_two_mode_vacuum_reach_matches_searchsorted():
     for r in (0, 2):
         _, want = _searchsorted_vacuum(2, r, grids)
         assert vacuum_state(2, r, grids).amps.tobytes() == want.tobytes()
+
+
+def _unchunked_product(state, mat, axes):
+    """One ``matmul`` over each occupied run of ``state``, written into a copy of its amplitudes."""
+    amps, k = state.amps.copy(), len(axes)
+    moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
+    for lo, hi in _Occupancy(state).runs:
+        run = moved[lo:hi]
+        run[...] = np.matmul(run.reshape(-1, 2 ** k), mat.T).reshape(run.shape)
+    return amps
+
+
+@pytest.mark.parametrize(
+    "m, r, gate",
+    [
+        (1, 1, qubit_gate("H", 0)),
+        (1, 2, qubit_gate(np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0], (1, 0))),
+        (2, 1, qubit_gate("H", 0)),
+    ],
+    ids=["H-r1", "4x4-r2", "H-m2"],
+)
+def test_qubit_gate_chunks_equal_the_unchunked_product(m, r, gate):
+    # 12,288 cells of mode 0 in blocks of 64; two runs of 9,024 and 2,112 cells:
+    # the first spans three chunks, the last of them a part chunk
+    n0 = 3 * 2 ** 12
+    rng = np.random.default_rng(11)
+    shape = (n0,) + (6,) * (m - 1) + (2,) * r
+    amps = np.zeros(shape, dtype=complex)
+    for lo, hi in ((64 * 10, 64 * 151), (64 * 155, 64 * 188)):
+        amps[lo:hi] = rng.normal(size=(hi - lo,) + shape[1:]) + 1j * rng.normal(size=(hi - lo,) + shape[1:])
+    grids = [centered_grid(n0, 0.01)] + [centered_grid(6, 0.5)] * (m - 1)
+    state = HybridState(m, r, grids, amps / np.linalg.norm(amps))
+    runs = _Occupancy(state).runs
+    assert [hi - lo for lo, hi in runs] == [9024, 2112]
+    assert 2 * QUBIT_CHUNK_CELLS < 9024 < 3 * QUBIT_CHUNK_CELLS
+    want = _unchunked_product(state, gate_matrix(gate), tuple(m + q for q in gate.qubits))
+    assert apply_gate(state, gate).amps.tobytes() == want.tobytes()
+
+
+def test_qubit_gate_allocates_one_chunk_not_one_run():
+    # the code prep's state holds one run of 112,896 of its 147,456 cells; one
+    # product over that run would be 0.77 of a copy of the amplitudes
+    from hqoc.pipeline import SIM_MARGIN, build_code_prep
+
+    c = build_code_prep(1, 0.02)
+    state = apply_circuit(vacuum_state(1, 1, auto_grid(c, base_margin=SIM_MARGIN)), c)
+    assert [hi - lo for lo, hi in _Occupancy(state).runs] == [112_896]
+    apply_gate(state, qubit_gate("H", 0))  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        apply_gate(state, qubit_gate("H", 0))
+        peak = tracemalloc.get_traced_memory()[1] / state.amps.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05  # the private copy, and one chunk's product (0.028 copies)

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import hqoc.pipeline as pipeline
 from hqoc.circuit import Circuit, disp_p, qubit_gate, squeeze
+from hqoc.gkp import comb_wavefunction, untruncated_comb_wavefunction
 from hqoc.moments import ceil_log2, circuit_params, energy_upper_bound
 from hqoc.pipeline import (
     EncodingLayout,
+    aux_prep_target,
     build_aux_prep,
     build_code_prep,
     build_pipeline_circuits,
@@ -112,6 +114,49 @@ def test_code_prep_simulated_fidelity():
     target = code_prep_target(ell, delta, state.grids[0])
     td = trace_distance(state, target)
     assert td <= 25 * (math.sqrt(delta) + 2 ** (2 * ell) * delta ** 2)
+
+
+def _with_qubit_zero(mode_state):
+    """The one-mode state copied into the |0> column of a zeroed (n, 2) array."""
+    amps = np.zeros(mode_state.amps.shape + (2,), dtype=complex)
+    amps[:, 0] = mode_state.amps
+    return amps
+
+
+def _within_ulps(got, want, ulps):
+    return all(
+        np.all(np.abs(g - w) <= ulps * np.spacing(np.maximum(np.abs(g), np.abs(w))))
+        for g, w in ((got.real, want.real), (got.imag, want.imag))
+    )
+
+
+@pytest.mark.parametrize(
+    "circuit, target, oracle",
+    [
+        (build_code_prep(1, 0.02), lambda g: code_prep_target(1, 0.02, g),
+         lambda g: comb_wavefunction(pipeline._prep_spec(1, 0.02), g, samples_per_sigma=1.0)),
+        (build_aux_prep(1, 0.02), lambda g: aux_prep_target(1, 0.02, g),
+         lambda g: comb_wavefunction(pipeline._prep_spec(1, 0.02, aux=True), g, samples_per_sigma=1.0)),
+        (build_prep_circuit(8, 0.02), lambda g: prep_target_state(8, 0.02, g),
+         lambda g: untruncated_comb_wavefunction(2 ** 8, 0.02, g)),
+    ],
+    ids=["code", "aux", "comb"],
+)
+def test_prep_targets_are_built_in_the_qubit_zero_branch(circuit, target, oracle):
+    # 147,456 / 147,456 / 36,864 points; the one-mode comb copied into the |0>
+    # column held 1.5 copies of the (n, 2) array
+    grid = apply_circuit(vacuum_state(1, 1, auto_grid(circuit, base_margin=0.3)), circuit).grids[0]
+    want = _with_qubit_zero(oracle(grid))
+    target(grid)  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        got = target(grid)
+        peak = tracemalloc.get_traced_memory()[1] / want.nbytes
+    finally:
+        tracemalloc.stop()
+    assert (got.m, got.r) == (1, 1)
+    assert _within_ulps(got.amps, want, 4)
+    assert peak <= 1.4
 
 
 def test_wprep_size_and_degenerate_case():
@@ -335,10 +380,14 @@ def test_error_budget_examples():
 @pytest.mark.parametrize(
     "m, ell, delta",
     [(1, 1, 0.02), (2, 1, 0.05), (5, 2, 0.1), (3, 3, 1e-3), (512, 2, 0.02),  # Delta <= 2^-(ell+1)
-     (1, 1, 0.26), (4, 2, 0.13), (2, 3, 0.07)],  # past it: no preparation, T_prep = 0
+     (1, 1, 0.26), (4, 2, 0.13), (2, 3, 0.07),  # past it: no preparation, T_prep = 0
+     (1, 1, 0.25), (3, 1, 0.25)],  # Delta = 2^-(ell+1) but not < 1/4: no preparation either
 )
 def test_budget_prep_size_is_the_wprep_size_without_building_it(m, ell, delta, monkeypatch):
-    want = build_wprep(m, ell, delta).size if delta <= 2.0 ** -(ell + 1) else 0
+    try:
+        want = build_wprep(m, ell, delta).size
+    except ValueError:  # the builders refuse (ell, Delta)
+        want = 0
 
     def refuse(*args):
         raise AssertionError("error_budget built the whole W_prep")
@@ -386,6 +435,26 @@ def test_encoded_superposition_frequencies():
     assert set(counts) == {(0, 1), (1, 0)}
     for k in counts:
         assert abs(counts[k] - 3000) < 3 * math.sqrt(6000 * 0.25)
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [{}, {(0, 0): 0.0}, {(0, 0): 0.0, (1, 1): 0j}, {(0, 0): math.nan},
+     {(0, 0): 1.0, (1, 1): math.inf}, {(0, 1): complex(1.0, math.nan)}],
+    ids=["empty", "zero", "zeros", "nan", "inf", "nan-imag"],
+)
+def test_encode_state_refuses_no_state_before_building_a_mode(amplitudes, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mode was built")
+
+    monkeypatch.setattr(pipeline, "encode_basis_state", refuse)
+    with pytest.raises(ValueError, match="finite coefficients, not all 0"):
+        encode_state(amplitudes, EncodingLayout(2, 1), 0.05)
+
+
+def test_encode_state_refuses_a_sum_that_underflows():
+    with pytest.raises(ValueError, match="cannot normalize a state of norm 0.0"):
+        encode_state({(0, 0): 1e-300}, EncodingLayout(2, 1), 0.05)
 
 
 def test_encode_state_sums_in_place():

@@ -584,6 +584,19 @@ def test_apply_circuit_holds_one_private_copy():
     assert peak < 3.0
 
 
+@pytest.mark.parametrize(
+    "value", [0.0, math.nan, math.inf, complex(0.0, math.nan)], ids=["zero", "nan", "inf", "nan-imag"]
+)
+def test_normalize_and_sampling_refuse_a_state_without_finite_mass(value):
+    amps = np.zeros((GRID.n_points, 2), dtype=complex)
+    amps[GRID.n_points // 2, 0] = value
+    state = HybridState(1, 1, [GRID], amps)
+    with pytest.raises(ValueError, match="cannot normalize a state of norm"):
+        state.copy().normalize()
+    with pytest.raises(ValueError, match="cannot sample a state of total probability"):
+        homodyne_sample(state, 5, 1)
+
+
 def _sample_with_grid_xs(state, shots, seed):
     """Reference sampler: the positions are looked up in the whole ``grid.xs``."""
     rng = np.random.default_rng(seed)
