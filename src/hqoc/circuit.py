@@ -276,6 +276,8 @@ def _validate_gate(g: Gate, m: int, r: int, pos: int) -> None:
             )
         if len(set(g.qubits)) != k:
             raise CircuitError(f"repeated qubit target at gate {pos}", pos)
+        if not np.isfinite(mat).all():  # NaN passes the unitarity comparison below
+            raise CircuitError(f"non-finite matrix entry at gate {pos}", pos)
         # named gates come from NAMED_QUBIT_GATES, which a test checks for unitarity
         if g.matrix is not None and np.abs(mat @ mat.conj().T - np.eye(2 ** k)).max() > 1e-12:
             raise CircuitError(f"non-unitary matrix at gate {pos}", pos)

@@ -243,8 +243,18 @@ def _relabel_mode(g: Gate, alpha: int) -> Gate:
 # -- logical circuit recompilation (blackbox bit-transfer nodes) ------------------
 
 
+# Largest ell whose declared bit-transfer g_bar, 4 * 2^(37 ell), is a float
+# (doubles end below 2^1024).
+MAX_BIT_TRANSFER_ELL = 27
+
+
 def bit_transfer_declared(ell: int) -> dict:
-    """Declared analysis parameters of one bit-transfer unit at level ell."""
+    """Declared analysis parameters of one bit-transfer unit at level ``ell <= MAX_BIT_TRANSFER_ELL``."""
+    if ell > MAX_BIT_TRANSFER_ELL:
+        raise ValueError(
+            f"bit-transfer blackboxes need ell <= {MAX_BIT_TRANSFER_ELL} "
+            f"(g_bar = 4 * 2^(37 ell) overflows a float), got {ell}"
+        )
     return {
         "g_bar": 4.0 * 2.0 ** (37 * ell),
         "xi_bar": 18.0 * 2.0 ** ell,

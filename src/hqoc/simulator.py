@@ -21,7 +21,9 @@ Gate kernels:
 * ``M_alpha``: exact grid-metadata rescale ``dx -> alpha dx`` (no
   interpolation; legal because the gate set has no controlled squeezing, so
   ``dx`` is global per mode);
-* qubit gates: 2x2 / 4x4 ``matmul`` on the qubit axes, chunk by chunk;
+* qubit gates: a 2^k x 2^k gate as one real 2^(k+1) x 2^(k+1) ``matmul`` on
+  the float64 view of the amplitudes, the qubit axes next to its (re, im)
+  axis, chunk by chunk;
 * controlled displacements act on the control-bit-1 qubit branches only.
 
 Both displacement phases are linear in the cell index and are built from two
@@ -87,12 +89,14 @@ GRID_ODD_FACTORS = (1, 3, 5, 9, 15)
 DEFAULT_MEM_CAP_MB = 1024.0
 # Most cells of mode 0 in one qubit-gate product, the gate's only temporary:
 # 4,096 cells of one mode and one qubit are 128 KiB, where the largest run of
-# the code prep (l=1, Delta=0.02; 112,896 cells) made 3.6 MB.  On one mode a
-# k-qubit product has 4,096 x 2^(r-k) rows, under the 65,536 from which
-# OpenBLAS starts its worker thread (whose buffers the process keeps) for
-# r - k <= 3.  A power of two, as blocks are, so every chunk holds at least
-# two cells.  Prep benchmark peak RSS (2 cores, 12 s runs): 53.2-53.8 MB at
-# 4,096 cells, 53.9-54.1 MB at 16,384.
+# the code prep (l=1, Delta=0.02; 112,896 cells) made 3.6 MB.  OpenBLAS hands
+# a product to its worker thread (whose buffers the process keeps) once
+# rows x N x K passes 262,144.  On one mode the real product of a k-qubit
+# gate has 4,096 x 2^(r-k) rows and N = K = 2^(k+1), so it stays on one
+# thread for r - 1 <= 2 with one qubit and only at r = 2 with two (no
+# benchmarked circuit has r > 2).  A power of two, as blocks are, so every
+# chunk holds at least two cells.  Prep benchmark peak RSS (2 cores, 12 s
+# runs, complex product): 53.2-53.8 MB at 4,096 cells, 53.9-54.1 MB at 16,384.
 QUBIT_CHUNK_CELLS = 4096
 
 # Peak memory of a simulated run, in copies of its amplitude array, as
@@ -379,24 +383,39 @@ class _Occupancy:
         return True
 
 
+def _real_matrix(mat: np.ndarray) -> np.ndarray:
+    """The real 2^(k+1) x 2^(k+1) form ``R`` of ``mat.T``: ``x @ mat.T`` is ``x_f @ R``.
+
+    ``x_f`` interleaves each complex entry of a row ``x`` as (re, im), so
+    block ``(j, i)`` of ``R`` is ``[[a, b], [-b, a]]`` for ``mat.T[j, i] = a + ib``.
+    """
+    mt = mat.T
+    real = np.empty((2 * len(mt), 2 * len(mt)))
+    real[0::2, 0::2] = real[1::2, 1::2] = mt.real
+    real[0::2, 1::2] = mt.imag
+    real[1::2, 0::2] = -mt.imag
+    return real
+
+
 def _apply_qubit_matrix(
     state: HybridState, mat: np.ndarray, axes: tuple[int, ...], occ: _Occupancy
 ) -> None:
     """Apply a 2^k x 2^k matrix on the given qubit axes (first axis slowest) in place.
 
+    One real product: the float64 view of ``state.amps``, its qubit axes
+    moved next to the trailing (re, im) axis, times :func:`_real_matrix`.
     Each run goes in chunks of at most ``QUBIT_CHUNK_CELLS`` cells of mode 0,
-    each chunk's product written back through the ``moveaxis`` view of
-    ``state.amps`` before the next.  Rows are independent and a chunk holds at
-    least two cells, so each ``matmul`` takes the BLAS path of one over the
-    whole array, bit for bit.
+    each chunk's product written back through that view before the next.
+    Rows are independent and a chunk holds at least two cells, so each
+    ``matmul`` takes the BLAS path of one over the whole array, bit for bit.
     """
-    amps, k = state.amps, len(axes)
-    moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
-    mt = mat.T
+    floats, k = state.amps[..., None].view(np.float64), len(axes)
+    moved = np.moveaxis(floats, axes, range(floats.ndim - 1 - k, floats.ndim - 1))
+    real = _real_matrix(mat)
     for lo, hi in occ.runs:
         for start in range(lo, hi, QUBIT_CHUNK_CELLS):
             chunk = moved[start : min(start + QUBIT_CHUNK_CELLS, hi)]
-            chunk[...] = np.matmul(chunk.reshape(-1, 2 ** k), mt).reshape(chunk.shape)
+            chunk[...] = np.matmul(chunk.reshape(-1, 2 ** (k + 1)), real).reshape(chunk.shape)
 
 
 def _momentum_phase(grid: GridSpec, t: float) -> np.ndarray:

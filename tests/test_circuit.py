@@ -150,6 +150,19 @@ def test_non_unitary_matrix_rejected():
         Circuit(0, 1, (qubit_gate([[1, 0], [0, 2]], 0),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)], ids=["nan", "inf", "nan-imag"])
+def test_non_finite_matrix_rejected(bad):
+    # NaN compares False against the unitarity tolerance, and json writes and
+    # reads it back as a bare NaN token: both ways in are refused at the gate
+    g = qubit_gate(((bad, 0), (0, 1)), 0)
+    with pytest.raises(CircuitError, match="^non-finite matrix entry at gate 2$"):
+        Circuit(0, 1, (qubit_gate("H", 0), g))
+    text = json.dumps({"m": 0, "r": 1, "gates": [gate_to_dict(qubit_gate("H", 0)), gate_to_dict(g)]})
+    with pytest.raises(CircuitError, match="^non-finite matrix entry at gate 2$") as err:
+        parse_circuit(text)
+    assert err.value.position == 2
+
+
 def test_named_gates_are_unitary():
     for name in ("H", "S", "T", "X", "Z", "CZ", "CNOT"):
         qubits = (0,) if name not in ("CZ", "CNOT") else (0, 1)

@@ -4,9 +4,11 @@
 and lets every kernel touch only them.  These tests run random circuits on
 states confined to random blocks and compare every prefix with a reference
 written here from the dense kernels: ``np.roll`` or the Fourier shift over the
-whole axis, the full ``_linear_phase`` vector, and one 2x2 / 4x4 ``matmul``
-over the whole array.  Values must agree exactly; only the sign of an exact
-zero may differ (a dense product can write -0.0 where the runs leave +0.0).
+whole axis, the full ``_linear_phase`` vector, and one real-form ``matmul``
+over the whole array (the simulator's qubit-gate arithmetic, which
+``test_real_form_product_matches_the_complex_matmul`` pins against the complex
+product).  Values must agree exactly; only the sign of an exact zero may
+differ (a dense product can write -0.0 where the runs leave +0.0).
 """
 
 import math
@@ -39,6 +41,7 @@ from hqoc.simulator import (
     _Occupancy,
     _apply_inplace,
     _phase_row,
+    _real_matrix,
     _whole_cells,
     apply_circuit,
     apply_gate,
@@ -52,15 +55,27 @@ GRID_SIZES = (30, 48, 160, 256, 1536)
 QUBIT_NAMES = ("H", "S", "T", "X", "Z")
 
 
+def _real_form_product(amps, mat, axes, runs):
+    """A copy of ``amps`` with ``mat`` on the qubit ``axes``: one real-form ``matmul`` per run of mode 0.
+
+    The product acts on the float64 view, the qubit axes moved next to its
+    (re, im) axis, as ``_apply_qubit_matrix`` does, but unchunked.
+    """
+    amps, k = amps.copy(), len(axes)
+    floats = amps[..., None].view(np.float64)
+    moved = np.moveaxis(floats, axes, range(floats.ndim - 1 - k, floats.ndim - 1))
+    for lo, hi in runs:
+        run = moved[lo:hi]
+        run[...] = np.matmul(run.reshape(-1, 2 ** (k + 1)), _real_matrix(mat)).reshape(run.shape)
+    return amps
+
+
 def _dense_gate(amps, grids, m, g):
     """One gate by the dense kernels; returns (amps, grids); raises on edge mass after a shift."""
-    amps, grids = amps.copy(), list(grids)
     if g.kind == "qubit_gate":
         axes = tuple(m + q for q in g.qubits)
-        k = len(axes)
-        moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
-        flat = moved.reshape(moved.shape[: amps.ndim - k] + (2 ** k,)) @ gate_matrix(g).T
-        return np.moveaxis(flat.reshape(moved.shape), range(amps.ndim - k, amps.ndim), axes), grids
+        return _real_form_product(amps, gate_matrix(g), axes, [(0, amps.shape[0])]), list(grids)
+    amps, grids = amps.copy(), list(grids)
     grid = grids[g.mode]
     if g.kind == "squeeze":
         grids[g.mode] = GridSpec(grid.n_points, grid.dx * g.alpha, grid.x0 * g.alpha)
@@ -307,16 +322,6 @@ def test_two_mode_vacuum_reach_matches_searchsorted():
         assert vacuum_state(2, r, grids).amps.tobytes() == want.tobytes()
 
 
-def _unchunked_product(state, mat, axes):
-    """One ``matmul`` over each occupied run of ``state``, written into a copy of its amplitudes."""
-    amps, k = state.amps.copy(), len(axes)
-    moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
-    for lo, hi in _Occupancy(state).runs:
-        run = moved[lo:hi]
-        run[...] = np.matmul(run.reshape(-1, 2 ** k), mat.T).reshape(run.shape)
-    return amps
-
-
 @pytest.mark.parametrize(
     "m, r, gate",
     [
@@ -340,8 +345,37 @@ def test_qubit_gate_chunks_equal_the_unchunked_product(m, r, gate):
     runs = _Occupancy(state).runs
     assert [hi - lo for lo, hi in runs] == [9024, 2112]
     assert 2 * QUBIT_CHUNK_CELLS < 9024 < 3 * QUBIT_CHUNK_CELLS
-    want = _unchunked_product(state, gate_matrix(gate), tuple(m + q for q in gate.qubits))
+    want = _real_form_product(state.amps, gate_matrix(gate), tuple(m + q for q in gate.qubits), runs)
     assert apply_gate(state, gate).amps.tobytes() == want.tobytes()
+
+
+def _complex_product(amps, mat, axes):
+    """``amps`` with ``mat`` on the qubit ``axes`` by one complex ``matmul`` over the whole array."""
+    k = len(axes)
+    moved = np.moveaxis(amps, axes, range(amps.ndim - k, amps.ndim))
+    flat = np.matmul(moved.reshape(-1, 2 ** k), mat.T).reshape(moved.shape)
+    return np.moveaxis(flat, range(amps.ndim - k, amps.ndim), axes)
+
+
+@pytest.mark.parametrize("name", ["H", "X", "Z", "S", "CZ", "CNOT", "T", "U4"])
+def test_real_form_product_matches_the_complex_matmul(name):
+    # where every entry of the gate is real or imaginary (H, X, Z, S, CZ,
+    # CNOT), each complex term is one real product, and the real form adds
+    # the same products in the same order: the same bytes.  An entry with
+    # both parts (T, a random unitary) gives two, summed in another order
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(1536, 2, 2)) + 1j * rng.normal(size=(1536, 2, 2))
+    state = HybridState(1, 2, [centered_grid(1536, 0.01)], amps)
+    tol = 4 * np.finfo(float).eps * np.abs(amps).max()
+    u4 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    for qubits in ((0,), (1,)) if name in ("H", "X", "Z", "S", "T") else ((0, 1), (1, 0)):
+        gate = qubit_gate(u4 if name == "U4" else name, qubits)
+        got = apply_gate(state, gate).amps
+        want = _complex_product(amps, gate_matrix(gate), tuple(1 + q for q in qubits))
+        if name in ("T", "U4"):
+            assert np.abs(got - want).max() <= tol
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_qubit_gate_allocates_one_chunk_not_one_run():

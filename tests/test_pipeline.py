@@ -116,6 +116,22 @@ def test_code_prep_simulated_fidelity():
     assert td <= 25 * (math.sqrt(delta) + 2 ** (2 * ell) * delta ** 2)
 
 
+@pytest.mark.parametrize(
+    "build, target_fn, want",
+    [
+        (lambda: build_code_prep(1, 0.02), lambda grid: code_prep_target(1, 0.02, grid), 0.10243459005986111),
+        (lambda: build_prep_circuit(8, 0.02), lambda grid: prep_target_state(8, 0.02, grid), 0.10220962793301591),
+    ],
+    ids=["code_prep_l1", "prep_n8"],
+)
+def test_prep_trace_distances_are_pinned(build, target_fn, want):
+    # the benchmark's two preps at Delta = 0.02: a kernel change that moves
+    # their answers past rounding shows here
+    c = build()
+    state = apply_circuit(vacuum_state(c.m, c.r, auto_grid(c, base_margin=0.3)), c)
+    assert trace_distance(state, target_fn(state.grids[0])) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def _with_qubit_zero(mode_state):
     """The one-mode state copied into the |0> column of a zeroed (n, 2) array."""
     amps = np.zeros(mode_state.amps.shape + (2,), dtype=complex)
@@ -213,6 +229,15 @@ def test_wtot_composite_parameters():
     assert energy_upper_bound(p).log2_bound <= impl.log2_energy
     assert pc.w_u.size <= 340 * s * ell ** 2
     assert pc.w_prep.size <= 42 * m * math.log(1 / delta)
+
+
+def test_bit_transfer_refuses_ell_past_the_float_range():
+    # 4 * 2^(37 ell) is a float up to ell = 27; at 28 it raised OverflowError
+    u = Circuit(0, 1, (qubit_gate("H", 0),))
+    pc = build_pipeline_circuits(u, 27, 1, 2.0 ** -28)
+    assert energy_upper_bound(circuit_params(pc.w_tot)).log2_bound == pytest.approx(12115.9, abs=0.05)
+    with pytest.raises(ValueError, match=r"^bit-transfer blackboxes need ell <= 27 .* got 28$"):
+        build_pipeline_circuits(u, 28, 1, 2.0 ** -29)
 
 
 def test_layout_examples():
