@@ -95,8 +95,8 @@ DEFAULT_MEM_CAP_MB = 1024.0
 # gate has 4,096 x 2^(r-k) rows and N = K = 2^(k+1), so it stays on one
 # thread for r - 1 <= 2 with one qubit and only at r = 2 with two (no
 # benchmarked circuit has r > 2).  A power of two, as blocks are, so every
-# chunk holds at least two cells.  Prep benchmark peak RSS (2 cores, 12 s
-# runs, complex product): 53.2-53.8 MB at 4,096 cells, 53.9-54.1 MB at 16,384.
+# chunk holds at least two cells.  Prep benchmark peak RSS (2 cores, 60 s
+# runs): 53.2-54.2 MB.
 QUBIT_CHUNK_CELLS = 4096
 
 # Peak memory of a simulated run, in copies of its amplitude array, as

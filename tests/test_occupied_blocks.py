@@ -360,9 +360,9 @@ def _complex_product(amps, mat, axes):
 @pytest.mark.parametrize("name", ["H", "X", "Z", "S", "CZ", "CNOT", "T", "U4"])
 def test_real_form_product_matches_the_complex_matmul(name):
     # where every entry of the gate is real or imaginary (H, X, Z, S, CZ,
-    # CNOT), each complex term is one real product, and the real form adds
-    # the same products in the same order: the same bytes.  An entry with
-    # both parts (T, a random unitary) gives two, summed in another order
+    # CNOT), each term of the complex sum is one real product, and OpenBLAS
+    # gives both forms the same bytes; an entry with both parts (T, a random
+    # unitary) makes two real products per term, which the forms round apart
     rng = np.random.default_rng(7)
     amps = rng.normal(size=(1536, 2, 2)) + 1j * rng.normal(size=(1536, 2, 2))
     state = HybridState(1, 2, [centered_grid(1536, 0.01)], amps)
