@@ -288,6 +288,8 @@ def _validate_gate(g: Gate, m: int, r: int, pos: int) -> None:
             raise CircuitError(f"blackbox requires g_bar >= 1 at gate {pos}", pos)
         if g.xi_bar is None or g.xi_bar < 0:
             raise CircuitError(f"blackbox requires xi_bar >= 0 at gate {pos}", pos)
+        if not (math.isfinite(g.g_bar) and math.isfinite(g.xi_bar)):  # NaN passes both comparisons
+            raise CircuitError(f"blackbox requires finite g_bar and xi_bar at gate {pos}", pos)
         if g.eta is None or not (g.eta > 0):
             raise CircuitError(f"blackbox requires eta > 0 at gate {pos}", pos)
         if g.g_bar < max(g.eta, 1.0 / g.eta) - 1e-12:

@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--logical", help="comma list like 'X:2,X:5' (1-based qubits)")
+    p.add_argument("--logical", help="comma list like 'X:2,X:5' (1-based qubits); "
+                                     "repeated X gates on one qubit cancel")
     p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=MEM_CAP_HELP)
     p.add_argument("--out")
     p.add_argument("--budget-out", dest="budget_out")

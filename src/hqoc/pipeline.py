@@ -19,6 +19,11 @@ Measurement decoding divides a homodyne outcome by the fine peak spacing
 ``sqrt(2 pi / d)``, rounds, and reduces mod d; per-mode bit strings are
 concatenated and the trailing dummy bits discarded.  It runs on the whole
 ``(shots, m)`` outcome array at once.
+
+The end-to-end run (``run_sampling_scheme``) takes circuits of logical X
+gates only.  It flips the logical bits classically and samples each mode's
+comb of its final index: one j = 0 comb, moved by whole cells from mode to
+mode.  No simulator call is on that path.
 """
 
 from __future__ import annotations
@@ -425,25 +430,21 @@ class SamplingRun:
     energy_report: dict
 
 
-def logical_x_shift(layout: EncodingLayout, q: int) -> float:
-    """Displacement implementing logical X on 1-based qubit q: shift by sqrt(2 pi/d) 2^bit."""
-    alpha, bit = layout.mode_and_bit(q)
-    return math.sqrt(2.0 * math.pi / layout.d) * 2.0 ** bit
-
-
 def run_sampling_scheme(
     u_logical: Circuit, n: int, m: int, delta: float, shots: int, seed: int,
     mem_cap_mb: float = DEFAULT_MEM_CAP_MB,
 ) -> SamplingRun:
     """End-to-end run for logical circuits of identity/X gates, one mode at a time.
 
-    Logical X gates are position shifts by ``sqrt(2 pi / d) * 2^bit`` of their
-    mode, so the state stays a product of combs: each mode is built, shifted
-    and sampled on its own grid and freed before the next.  Raises
-    ``ResourceCapError`` before encoding if one mode's working set and the
-    shot arrays together would exceed ``mem_cap_mb``.  The compiled circuit
-    ``w_tot``, its energy report and the error budget are built before the
-    first mode, so an inadmissible ``delta`` raises before any sampling.
+    Such a circuit maps basis states to basis states, so it is evaluated on
+    the logical bits: each X flips its qubit's bit, and repeated X gates on
+    one qubit cancel.  Each mode is then the comb of its final logical index
+    j, sampled on the mode's grid and dropped before the next
+    (``_moved_combs``).  Raises ``ResourceCapError`` before encoding if one
+    mode's working set and the shot arrays together would exceed
+    ``mem_cap_mb``.  The compiled circuit ``w_tot``, its energy report and
+    the error budget are built before the first mode, so an inadmissible
+    ``delta`` raises before any sampling.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -466,16 +467,34 @@ def run_sampling_scheme(
     u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
     energy_report = analysis_report(build_pipeline_circuits(u_ext, n, m, delta).w_tot)
     budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
-    shifts: list[list[Gate]] = [[] for _ in range(m)]
+    indices = [0] * m
     for g in u_logical.gates:
-        q = g.qubits[0] + 1
-        shifts[layout.mode_and_bit(q)[0]].append(disp_p(0, logical_x_shift(layout, q)))
-    modes = (
-        apply_circuit(encode_mode(layout, delta, 0), Circuit(m=1, r=0, gates=tuple(gates)))
-        for gates in shifts
-    )
-    samples = sample_encoded_state(modes, layout, shots, seed)
+        alpha, bit = layout.mode_and_bit(g.qubits[0] + 1)
+        indices[alpha] ^= 1 << bit
+    samples = sample_encoded_state(_moved_combs(layout, delta, indices), layout, shots, seed)
     return SamplingRun(samples, budget, energy_report)
+
+
+def _moved_combs(layout: EncodingLayout, delta: float, indices):
+    """The comb of each logical index in turn: one j = 0 comb, moved in place.
+
+    Index j is the j = 0 comb displaced by ``sqrt(2 pi / d) j``, which on
+    ``encoding_grid`` is exactly j 2^k cells; the grid holds every j < d, so
+    only zeros leave it.
+    """
+    state = encode_mode(layout, delta, 0)
+    amps = state.amps
+    step = round(math.sqrt(2.0 * math.pi / layout.d) / state.grids[0].dx)
+    at = 0
+    for j in indices:
+        cells, at = (j - at) * step, j
+        if cells > 0:
+            amps[cells:] = amps[:-cells]
+            amps[:cells] = 0
+        elif cells < 0:
+            amps[:cells] = amps[-cells:]
+            amps[cells:] = 0
+        yield state
 
 
 def sample_encoded_state(states, layout: EncodingLayout, shots: int, seed: int) -> np.ndarray:

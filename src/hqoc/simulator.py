@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -109,9 +110,9 @@ QUBIT_CHUNK_CELLS = 4096
 # Measured ``tracemalloc`` peaks: 2.45 for ``apply_circuit`` of the code prep
 # (l=1, Delta=0.02; 147,456 points) with the caller's vacuum held, a
 # controlled kick's phases on top (2.62 for the comb prep, n=8; 36,864
-# points); 2.00 for either when the vacuum is freed once copied; 2.00 for
-# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; a mode's private copy and
-# its shift's roll, the comb it copied already freed).  Rounded up to 4.
+# points); 2.00 for either when the vacuum is freed once copied; 1.50 for
+# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; the comb and
+# ``homodyne_sample``'s float64 density).  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -669,10 +670,14 @@ def auto_grid(
         # the mode's window and cumulative squeeze factor after each of its gates
         w, s = (-r0, r0, -r0, r0), 1.0
         steps = [(w, s)]
-        for g in gates:
+        for j, g in enumerate(gates, start=1):
             w = generator_mlf(g)(w)
             if g.kind == "squeeze":
                 s *= g.alpha
+                if not 0 < s < math.inf:
+                    raise GridError(
+                        f"mode {mode}'s squeeze factor leaves the float range {_prefix_name(c, mode, j)}"
+                    )
             steps.append((w, s))
         dx0 = min(
             math.pi / ((1.0 + base_margin) * max(abs(w[2]), abs(w[3])) * s) for w, s in steps
@@ -747,13 +752,18 @@ def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> No
     """Raise ``ResourceCapError`` if a run's working set on the joint grid exceeds the cap.
 
     The working set is ``WORKING_SET_COPIES`` amplitude arrays of 16 B a cell,
-    plus ``shots_mb`` of a sampler's shot arrays held beside them.
+    plus ``shots_mb`` of a sampler's shot arrays held beside them.  The byte
+    count stays an integer, since many modes' joint grid passes the float range.
     """
-    mb = 2 ** r * math.prod(g.n_points for g in grids) * 16 / 1e6
-    if WORKING_SET_COPIES * mb + shots_mb > mem_cap_mb:
+    nbytes = 2 ** r * math.prod(g.n_points for g in grids) * 16
+    if WORKING_SET_COPIES * nbytes > (mem_cap_mb - shots_mb) * 1e6:
+        try:
+            mb = f"{nbytes / 1e6:g}"
+        except OverflowError:
+            mb = f"{Decimal(nbytes).scaleb(-6):.6g}"
         shots = f" + {shots_mb:g} MB of shots" if shots_mb else ""
         raise ResourceCapError(
-            f"grid needs {WORKING_SET_COPIES} x {mb:g} MB{shots} > cap {mem_cap_mb:g} MB"
+            f"grid needs {WORKING_SET_COPIES} x {mb} MB{shots} > cap {mem_cap_mb:g} MB"
         )
 
 

@@ -163,6 +163,14 @@ def test_non_finite_matrix_rejected(bad):
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("g_bar, xi_bar", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)])
+def test_non_finite_blackbox_parameters_rejected(g_bar, xi_bar):
+    # NaN passes the g_bar >= 1 and xi_bar >= 0 comparisons; analysis_report would drop or spread it
+    box = blackbox((0,), (), g_bar=g_bar, xi_bar=xi_bar)
+    with pytest.raises(CircuitError, match="^blackbox requires finite g_bar and xi_bar at gate 2$"):
+        Circuit(1, 0, (squeeze(0, 2.0), box))
+
+
 def test_named_gates_are_unitary():
     for name in ("H", "S", "T", "X", "Z", "CZ", "CNOT"):
         qubits = (0,) if name not in ("CZ", "CNOT") else (0, 1)
@@ -358,6 +366,10 @@ MALFORMED_GATES = [
      "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
     ({"kind": "blackbox", "modes": [0], "g_bar": 0.5, "xi_bar": 1.0},
      "blackbox requires g_bar >= 1 at gate 2"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": math.nan, "xi_bar": 1.0},
+     "blackbox requires finite g_bar and xi_bar at gate 2"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": math.inf},
+     "blackbox requires finite g_bar and xi_bar at gate 2"),
     ({"kind": "teleport", "mode": 0},
      "unknown gate kind 'teleport' at gate 2"),
     ({"kind": ["disp_q"], "mode": 0},

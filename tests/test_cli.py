@@ -12,7 +12,7 @@ import pytest
 
 from hqoc.circuit import Circuit, disp_q, qubit_gate, serialize_circuit, squeeze
 from hqoc.cli import build_parser, main
-from hqoc.pipeline import prep_size_formula, run_sampling_scheme
+from hqoc.pipeline import build_wprep, prep_size_formula, run_sampling_scheme
 from hqoc.simulator import GRID_ODD_FACTORS
 
 
@@ -157,6 +157,14 @@ def test_sample_runs_many_modes_under_the_default_cap(n, m, logical, want, tmp_p
     assert Counter(out.read_text().split()) == Counter({want: 1000})
 
 
+@pytest.mark.parametrize("logical, want", [("X:2,X:2", "00"), ("X:1,X:2,X:2", "10")])
+def test_sample_repeated_logical_x_cancels(logical, want, tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["sample", "--n", "2", "--m", "1", "--delta", "0.05", "--logical", logical, "--out", str(out)]
+    assert main(args) == 0
+    assert Counter(out.read_text().split()) == Counter({want: 1000})
+
+
 def test_tradeoff_table(tmp_path):
     out = tmp_path / "table.json"
     assert main(["tradeoff", "--table", "--n-values", "16,64,256", "--out",
@@ -256,6 +264,22 @@ def test_missing_file_is_validation_error():
 
 def test_mem_cap_exit_code(circuit_file):
     assert main(["simulate", str(circuit_file), "--mem-cap-mb", "0.0001"]) == 2
+
+
+def test_simulate_many_modes_exits_on_the_cap(tmp_path, capsys):
+    # 81 modes: the joint grid's byte count passes the float range
+    path = tmp_path / "wprep.json"
+    path.write_text(serialize_circuit(build_wprep(80, 1, 0.02)))
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: grid needs 4 x 1.46828e+414 MB > cap 1024 MB\n"
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 1e200])
+def test_simulate_refuses_a_squeeze_factor_past_the_float_range(alpha, tmp_path, capsys):
+    path = tmp_path / "squeezed.json"
+    path.write_text(serialize_circuit(Circuit(1, 0, (squeeze(0, alpha),) * 2)))
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: mode 0's squeeze factor leaves the float range at gate 2\n"
 
 
 def test_simulate_grid_points_checks_mem_cap(circuit_file):

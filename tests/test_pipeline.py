@@ -26,7 +26,6 @@ from hqoc.pipeline import (
     encode_mode,
     encode_state,
     error_budget,
-    logical_x_shift,
     post_process,
     prep_size_formula,
     prep_target_state,
@@ -446,6 +445,44 @@ def test_run_logical_x():
     assert set(map(tuple, run2.samples.tolist())) == {(1, 0)}
 
 
+@pytest.mark.parametrize("qubits, want", [((1, 1), (0, 0)), ((0, 1, 1), (1, 0))])
+def test_run_cancels_repeated_logical_x(qubits, want):
+    # X on bit 0 twice flips it back; a shift by 2 sqrt(2 pi / d) would carry into bit 1
+    u = Circuit(0, 2, tuple(qubit_gate("X", q) for q in qubits))
+    run = run_sampling_scheme(u, n=2, m=1, delta=0.05, shots=1000, seed=0)
+    assert set(map(tuple, run.samples.tolist())) == {want}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=8), st.integers(0, 2**31))
+def test_run_decodes_to_the_xor_of_the_flips(qubits, seed):
+    want = [0] * 6
+    for q in qubits:
+        want[q] ^= 1
+    u = Circuit(0, 6, tuple(qubit_gate("X", q) for q in qubits))
+    samples = run_sampling_scheme(u, n=6, m=3, delta=0.02, shots=200, seed=seed).samples
+    assert set(map(tuple, samples.tolist())) == {tuple(want)}
+
+
+def test_run_builds_one_comb_and_simulates_nothing(monkeypatch):
+    calls = []
+    real = pipeline.encode_mode
+
+    def counting_encode(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampling run called apply_circuit")
+
+    monkeypatch.setattr(pipeline, "encode_mode", counting_encode)
+    monkeypatch.setattr(pipeline, "apply_circuit", refuse)
+    u = Circuit(0, 16, (qubit_gate("X", 0), qubit_gate("X", 5), qubit_gate("X", 5), qubit_gate("X", 15)))
+    samples = run_sampling_scheme(u, n=16, m=8, delta=0.05, shots=100, seed=1).samples
+    assert len(calls) == 1
+    assert set(map(tuple, samples.tolist())) == {(1,) + (0,) * 14 + (1,)}
+
+
 def test_run_rejects_general_gates():
     u = Circuit(0, 2, (qubit_gate("H", 0),))
     with pytest.raises(ValueError, match="restricted to X"):
@@ -550,8 +587,8 @@ def test_m2_share_of_1001_is_the_product_of_the_mode_probabilities():
     lay = EncodingLayout(n=n, m=m)
     u = Circuit(0, n, (qubit_gate("X", 0), qubit_gate("X", 3)))
     p = 1.0
-    for q, j in ((1, 2), (4, 1)):
-        shift = Circuit(1, 0, (disp_p(0, logical_x_shift(lay, q)),))
+    for j in (2, 1):  # the code state of index j, simulated from the j = 0 comb
+        shift = Circuit(1, 0, (disp_p(0, j * math.sqrt(2 * math.pi / lay.d)),))
         state = apply_circuit(encode_mode(lay, delta, 0), shift)
         xs = state.grids[0].xs
         p *= float(state.position_density()[discretize(xs, lay.ell) == j].sum())

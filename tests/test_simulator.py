@@ -30,6 +30,7 @@ from hqoc.simulator import (
     apply_gate,
     auto_grid,
     centered_grid,
+    check_mem_cap,
     energy_expectation,
     fidelity,
     homodyne_sample,
@@ -422,6 +423,22 @@ def test_auto_grid_memory_cap():
     c = Circuit(1, 0, ())
     with pytest.raises(ResourceCapError):
         auto_grid(c, mem_cap_mb=0.001)
+
+
+def test_mem_cap_counts_a_joint_grid_past_the_float_range():
+    # 64 modes of 2^20 cells and 4 qubits hold 2^1288 bytes: a float byte count overflows
+    grids = [centered_grid(2 ** 20, 0.1)] * 64
+    with pytest.raises(ResourceCapError, match=r"^grid needs 4 x 5\.32886e\+381 MB > cap 1e\+300 MB$"):
+        check_mem_cap(grids, 4, 1e300)
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 1e200])
+def test_auto_grid_refuses_a_squeeze_factor_past_the_float_range(alpha):
+    # the mode's cumulative factor becomes 0 or inf at its second squeezer, gate 3 of the circuit
+    c = Circuit(2, 0, (disp_q(0, 0.5), squeeze(0, alpha), disp_q(1, 0.5), squeeze(0, alpha)))
+    with pytest.raises(GridError, match="^mode 0's squeeze factor leaves the float range at gate 4$"):
+        auto_grid(c)
+    assert auto_grid(Circuit(1, 0, (squeeze(0, alpha), squeeze(0, 1 / alpha))))[0].n_points == 256
 
 
 def test_auto_grid_forced_size_keeps_the_snapped_dx():
