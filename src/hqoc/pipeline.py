@@ -20,10 +20,9 @@ Measurement decoding divides a homodyne outcome by the fine peak spacing
 concatenated and the trailing dummy bits discarded.  It runs on the whole
 ``(shots, m)`` outcome array at once.
 
-The end-to-end run (``run_sampling_scheme``) takes circuits of logical X
-gates only.  It flips the logical bits classically and samples each mode's
-comb of its final index: one j = 0 comb, moved by whole cells from mode to
-mode.  No simulator call is on that path.
+The end-to-end run takes logical X circuits only: it flips the logical bits
+classically and samples one j = 0 comb, moved by whole cells to each mode's
+final index; no simulator call is on that path.
 """
 
 from __future__ import annotations

@@ -366,10 +366,6 @@ MALFORMED_GATES = [
      "malformed gate at gate 2: 'float' object cannot be interpreted as an integer"),
     ({"kind": "blackbox", "modes": [0], "g_bar": 0.5, "xi_bar": 1.0},
      "blackbox requires g_bar >= 1 at gate 2"),
-    ({"kind": "blackbox", "modes": [0], "g_bar": math.nan, "xi_bar": 1.0},
-     "blackbox requires finite g_bar and xi_bar at gate 2"),
-    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": math.inf},
-     "blackbox requires finite g_bar and xi_bar at gate 2"),
     ({"kind": "teleport", "mode": 0},
      "unknown gate kind 'teleport' at gate 2"),
     ({"kind": ["disp_q"], "mode": 0},
@@ -399,6 +395,10 @@ MALFORMED_GATES = [
      "malformed gate at gate 2: field 'matrix' must be a number, got True"),
     ({"kind": "qubit_gate", "matrix": [[[0, 0], [1, "0"]], [[1, 0], [0, 0]]], "qubits": [0]},
      "malformed gate at gate 2: field 'matrix' must be a number, got '0'"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": math.nan, "xi_bar": 1.0},
+     "blackbox requires finite g_bar and xi_bar at gate 2"),
+    ({"kind": "blackbox", "modes": [0], "g_bar": 2.0, "xi_bar": math.inf},
+     "blackbox requires finite g_bar and xi_bar at gate 2"),
 ]
 
 
