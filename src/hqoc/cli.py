@@ -38,9 +38,13 @@ from .tradeoff import (
     sampling_error_bound,
 )
 
+MEM_CAP_DEFAULT = f"(default: $HQOC_MEM_CAP_MB, else {DEFAULT_MEM_CAP_MB:g})"
 MEM_CAP_HELP = (
-    f"memory cap in MB for the run's working set, {WORKING_SET_COPIES}x the state"
-    f" (default: $HQOC_MEM_CAP_MB, else {DEFAULT_MEM_CAP_MB:g})"
+    f"memory cap in MB for the run's working set, {WORKING_SET_COPIES}x the state {MEM_CAP_DEFAULT}"
+)
+SAMPLE_MEM_CAP_HELP = (
+    f"memory cap in MB for the run's working set: {WORKING_SET_COPIES} x 16 B for each cell of one"
+    f" mode's comb support, plus the shot arrays {MEM_CAP_DEFAULT}"
 )
 
 
@@ -272,14 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="run the end-to-end sampling scheme")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True,
-                   help="modes, 1 <= m <= n; each holds ceil(n/m) bits and is simulated on its "
-                        "own grid, so memory is one mode's grid, not grid^m")
+                   help="modes, 1 <= m <= n; each holds ceil(n/m) bits and is held as the support "
+                        "cells of its comb, one mode at a time, so memory is one mode's support "
+                        "(at most about 1/d of its grid), not grid^m")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--logical", help="comma list like 'X:2,X:5' (1-based qubits); "
                                      "repeated X gates on one qubit cancel")
-    p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=MEM_CAP_HELP)
+    p.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb", help=SAMPLE_MEM_CAP_HELP)
     p.add_argument("--out")
     p.add_argument("--budget-out", dest="budget_out")
     p.set_defaults(func=cmd_sample)

@@ -133,12 +133,50 @@ def _check_grid(spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float) -
         raise GridError("grid too small: comb support escapes the grid")
 
 
+@dataclass(frozen=True, eq=False)
+class ModeSupport:
+    """One mode's state held as its support: ``values`` at ``cells`` of ``grid``, 0 elsewhere.
+
+    ``cells`` are ascending int64 cell indices and ``values`` the amplitudes
+    there up to one factor (a comb's are its peaks' Gaussians before
+    normalization).  Each cell is 16 B, as one complex amplitude of a grid is.
+    """
+
+    grid: GridSpec
+    cells: np.ndarray
+    values: np.ndarray
+
+
+def comb_support(
+    spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = SAMPLES_PER_SIGMA
+) -> ModeSupport:
+    """The support of the comb state ``spec`` on ``grid``: its cells inside a peak and their Gaussians.
+
+    ``GridError`` if ``grid`` is coarser than ``samples_per_sigma`` samples a
+    peak sigma or does not hold the support.
+    """
+    _check_grid(spec, grid, samples_per_sigma)
+    return _truncated_peaks(grid, spec.shift, spec.scale, spec.delta, spec.eps, spec.L)
+
+
+def comb_support_size(spec: CombStateSpec, grid: GridSpec) -> int:
+    """Most cells ``comb_support(spec, grid)`` computes, counted without building it.
+
+    Each of the L peak windows holds the cells of ``[c - h, c + h)``, at most
+    ``ceil(2 h / dx) + 1`` when the float positions round at both ends, and one
+    padding cell on each side.
+    """
+    return spec.L * (math.ceil(2 * spec.half_support / grid.dx) + 3)
+
+
 def comb_wavefunction(
     spec: CombStateSpec, grid: GridSpec, samples_per_sigma: float = SAMPLES_PER_SIGMA, r: int = 0
 ) -> HybridState:
     """Sampled, renormalized closed-form comb state on one mode, times ``r`` qubits at |0...0>.
 
-    The default resolution requirement (8 samples per peak sigma) suits
+    The state is the comb's support (``comb_support``) written into the
+    |0...0> branch of a zeroed array and normalized over that branch.  The
+    default resolution requirement (8 samples per peak sigma) suits
     decoding and quadrature use.  ``auto_grid`` sizes simulation grids by the
     Nyquist band alone, so at the end of a preparation circuit they sample a
     peak only a few times per sigma (2.20 for the ell=1, Delta=0.02 code prep
@@ -146,9 +184,8 @@ def comb_wavefunction(
     ``samples_per_sigma`` (``code_prep_target`` passes 1), which is sound
     when the truncation edges are negligible (``delta << eps``).
     """
-    _check_grid(spec, grid, samples_per_sigma)
-    amps = _truncated_peaks(grid, spec.shift, spec.scale, spec.delta, spec.eps, spec.L, r)
-    return HybridState(1, r, (grid,), amps)
+    support = comb_support(spec, grid, samples_per_sigma)
+    return HybridState(1, r, (grid,), _real_amps(grid, r, support.cells, support.values))
 
 
 def _real_amps(grid: GridSpec, r: int, cells, values: np.ndarray) -> np.ndarray:
@@ -183,15 +220,14 @@ def _window_cells(grid: GridSpec, lo: np.ndarray, hi: np.ndarray, pad: int = 0):
 
 
 def _truncated_peaks(
-    grid: GridSpec, shift: float, scale: float, delta: float, eps: float, L: int, r: int = 0
-) -> np.ndarray:
-    """Normalized sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1.
+    grid: GridSpec, shift: float, scale: float, delta: float, eps: float, L: int
+) -> ModeSupport:
+    """Support of the sum of width-Delta Gaussians cut at ``|u - z| < eps``, z = -L/2 .. L/2-1.
 
     ``u = (x - shift) / scale`` over the cells x of ``grid``.  Only the cells
     of each peak's window (its support, padded by a cell on each side) are
     computed, with the same float steps as over the whole grid; the Gaussian
-    is evaluated on those inside a peak and written into the |0...0> branch
-    of one zeroed array of one mode and ``r`` qubits.
+    is evaluated on those inside a peak.
     """
     centres = scale * np.arange(-L // 2, L // 2) + shift
     cells, _ = _window_cells(grid, centres - scale * eps, centres + scale * eps, pad=1)
@@ -206,7 +242,7 @@ def _truncated_peaks(
     np.negative(w, out=w)
     w /= 2 * delta ** 2
     np.exp(w, out=w)
-    return _real_amps(grid, r, cells, w)
+    return ModeSupport(grid, cells, w)
 
 
 def untruncated_comb_wavefunction(L: int, delta: float, grid: GridSpec, r: int = 0) -> HybridState:
@@ -253,7 +289,7 @@ def overlap_check(delta: float, eps: float, L: int) -> tuple[float, float]:
     grid = centered_grid(grid_sizes(2 * reach / dx)[0], dx)
     full = untruncated_comb_wavefunction(L, delta, grid)
     trunc = _truncated_peaks(grid, 0.0, 1.0, delta, eps, L)
-    overlap_sq = abs(np.vdot(full.amps, trunc)) ** 2
+    overlap_sq = abs(np.vdot(full.amps, _real_amps(grid, 0, trunc.cells, trunc.values))) ** 2
     bound = 1.0 - 16.0 * delta ** 2 - 2.0 * math.exp(-((eps / delta) ** 2))
     return float(overlap_sq), float(bound)
 

@@ -21,8 +21,9 @@ concatenated and the trailing dummy bits discarded.  It runs on the whole
 ``(shots, m)`` outcome array at once.
 
 The end-to-end run takes logical X circuits only: it flips the logical bits
-classically and samples one j = 0 comb, moved by whole cells to each mode's
-final index; no simulator call is on that path.
+classically and samples the support of one j = 0 comb (``gkp.ModeSupport``),
+moved by whole cells to each mode's final index; no simulator call and no
+grid-sized array is on that path.
 """
 
 from __future__ import annotations
@@ -44,8 +45,11 @@ from .circuit import (
 )
 from .gkp import (
     CombStateSpec,
+    ModeSupport,
     aux_spec,
     comb_spec,
+    comb_support,
+    comb_support_size,
     comb_wavefunction,
     default_comb_grid,
     untruncated_comb_wavefunction,
@@ -57,8 +61,8 @@ from .simulator import (
     HybridState,
     apply_circuit,
     auto_grid,
-    check_mem_cap,
-    homodyne_sample,
+    check_cells_cap,
+    sample_cells,
     trace_distance,
     vacuum_state,
 )
@@ -379,47 +383,70 @@ def encoding_grid(layout: EncodingLayout, delta: float) -> GridSpec:
     return default_comb_grid(comb_spec(delta, layout.d, 0))
 
 
-def encode_mode(layout: EncodingLayout, delta: float, j: int) -> HybridState:
-    """Analytic one-mode comb state of logical index ``j`` on the layout's encoding grid."""
-    return comb_wavefunction(comb_spec(delta, layout.d, j), encoding_grid(layout, delta))
+def encode_mode(layout: EncodingLayout, delta: float, j: int) -> ModeSupport:
+    """Support of the analytic one-mode comb state of logical index ``j`` on the layout's encoding grid."""
+    return comb_support(comb_spec(delta, layout.d, j), encoding_grid(layout, delta))
+
+
+def _check_support_cap(
+    layout: EncodingLayout, delta: float, modes: int, mem_cap_mb: float, shots_mb: float = 0.0
+) -> None:
+    """``ResourceCapError`` if ``modes`` supports of ``comb_support_size`` cells and the shots pass the cap."""
+    cells = modes * comb_support_size(comb_spec(delta, layout.d, 0), encoding_grid(layout, delta))
+    check_cells_cap(cells, "comb support", mem_cap_mb, shots_mb)
 
 
 def encode_basis_state(
     bits, layout: EncodingLayout, delta: float, mem_cap_mb: float = DEFAULT_MEM_CAP_MB
-) -> list[HybridState]:
-    """Analytic encoding of a computational basis state: its m one-mode comb states.
+) -> list[ModeSupport]:
+    """Analytic encoding of a computational basis state: the supports of its m one-mode comb states.
 
-    A basis state is a product over the modes, so it is held as one state a
-    mode.  Raises ``ResourceCapError`` before allocating if one mode's working
-    set (``simulator.check_mem_cap``) would exceed ``mem_cap_mb``.
+    A basis state is a product over the modes, so it is held as one support a
+    mode.  Raises ``ResourceCapError`` before building any if the m supports,
+    each counted as ``comb_support_size`` cells (``simulator.check_cells_cap``),
+    would exceed ``mem_cap_mb``.
     """
     bits = tuple(int(b) for b in bits)
     if len(bits) != layout.n:
         raise ValueError(f"expected {layout.n} logical bits")
-    check_mem_cap([encoding_grid(layout, delta)], 0, mem_cap_mb)
+    _check_support_cap(layout, delta, layout.m, mem_cap_mb)
     return [encode_mode(layout, delta, j) for j in layout.indices_for_bits(bits)]
 
 
-def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> list[HybridState]:
-    """Analytic encoding of a superposition {bits: amplitude} on one mode, as a one-state list.
+def encode_state(amplitudes: dict, layout: EncodingLayout, delta: float) -> list[ModeSupport]:
+    """Analytic encoding of a superposition {bits: amplitude} on one mode, as a one-support list.
 
-    ``ValueError``, before any mode is built, unless some coefficient is nonzero and all are finite.
+    Each term is its basis comb's support at unit norm times its coefficient;
+    the supports are joined, the terms of a cell on two supports (an edge cell
+    kept by both) added in the order given, and the join normalized.
+    ``ValueError``, before any mode is built, unless some coefficient is
+    nonzero and all are finite.
     """
     if layout.m != 1:
         raise ValueError("encoded superpositions are held on one mode (m = 1)")
     coeffs = np.array(list(amplitudes.values()), dtype=complex)
     if not (coeffs.any() and np.isfinite(coeffs).all()):
         raise ValueError("a superposition needs finite coefficients, not all 0")
-    total = None
-    for bits, coeff in amplitudes.items():
+    if not coeffs.imag.any():
+        coeffs = coeffs.real  # real terms keep a real support
+    cells, values = [], []
+    for bits, coeff in zip(amplitudes, coeffs):
         [basis] = encode_basis_state(bits, layout, delta)
-        basis.amps *= coeff  # a fresh array, so scaled and summed in place
-        if total is None:
-            total = basis
-        else:
-            total.amps += basis.amps
-        del basis  # free it before the next one is built
-    return [total.normalize()]
+        cells.append(basis.cells)
+        values.append(basis.values * (coeff / np.linalg.norm(basis.values)))
+        del basis  # free its values before the next one is built
+    cells, values = np.concatenate(cells), np.concatenate(values)
+    order = np.argsort(cells, kind="stable")  # term order kept where a cell repeats
+    cells = cells[order]
+    values = values[order]
+    del order
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    values = np.add.reduceat(values, first)
+    nrm = np.linalg.norm(values)
+    if not (math.isfinite(nrm) and nrm > 0):
+        raise ValueError(f"cannot normalize a state of norm {nrm}")
+    values /= nrm
+    return [ModeSupport(encoding_grid(layout, delta), cells[first], values)]
 
 
 @dataclass(frozen=True)
@@ -437,13 +464,13 @@ def run_sampling_scheme(
 
     Such a circuit maps basis states to basis states, so it is evaluated on
     the logical bits: each X flips its qubit's bit, and repeated X gates on
-    one qubit cancel.  Each mode is then the comb of its final logical index
-    j, sampled on the mode's grid and dropped before the next
-    (``_moved_combs``).  Raises ``ResourceCapError`` before encoding if one
-    mode's working set and the shot arrays together would exceed
-    ``mem_cap_mb``.  The compiled circuit ``w_tot``, its energy report and
-    the error budget are built before the first mode, so an inadmissible
-    ``delta`` raises before any sampling.
+    one qubit cancel.  Each mode is then the support of the comb of its final
+    logical index j, sampled and dropped before the next (``_moved_combs``);
+    no grid-sized array is built.  Raises ``ResourceCapError`` before encoding
+    if one mode's support (``comb_support_size`` cells) and the shot arrays
+    together would exceed ``mem_cap_mb``.  The compiled circuit ``w_tot``, its
+    energy report and the error budget are built before the first mode, so an
+    inadmissible ``delta`` raises before any sampling.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -454,15 +481,15 @@ def run_sampling_scheme(
                 f"simulable logical gates are restricted to X (gate {i}); "
                 "general circuits are analyzed via blackbox recompilation only"
             )
-    # Peak of the shot arrays beside one mode's state (``tracemalloc``), 8 B a
-    # shot for each of: while sampling, m - 1 outcome columns and 3 arrays of
-    # ``homodyne_sample`` (m + 2 <= 2m + 2); while decoding, m outcomes, m
+    # Peak of the shot arrays beside one mode's support (``tracemalloc``), 8 B
+    # a shot for each of: while sampling, m - 1 outcome columns and 2 arrays of
+    # ``sample_encoded_state`` (m + 1 <= 2m + 2); while decoding, m outcomes, m
     # rounded indices and n' int64 bits.  After the run, the returned bits (a
     # view of the n' columns) and their text (``hqoc sample``: uint8 rows,
     # bytes and str of n digits and a newline) may outgrow that.
     per_shot = max(8 * (2 * m + max(2, layout.n_prime)), 8 * layout.n_prime + 3 * (n + 1))
     shots_mb = per_shot * shots / 1e6
-    check_mem_cap([encoding_grid(layout, delta)], 0, mem_cap_mb, shots_mb=shots_mb)
+    _check_support_cap(layout, delta, 1, mem_cap_mb, shots_mb=shots_mb)
     u_ext = Circuit(m=0, r=layout.n_prime, gates=u_logical.gates)
     energy_report = analysis_report(build_pipeline_circuits(u_ext, n, m, delta).w_tot)
     budget = error_budget(m, layout.ell, delta, s=len(u_logical.gates))
@@ -475,39 +502,40 @@ def run_sampling_scheme(
 
 
 def _moved_combs(layout: EncodingLayout, delta: float, indices):
-    """The comb of each logical index in turn: one j = 0 comb, moved in place.
+    """The comb support of each logical index in turn: one j = 0 support, moved in place.
 
     Index j is the j = 0 comb displaced by ``sqrt(2 pi / d) j``, which on
-    ``encoding_grid`` is exactly j 2^k cells; the grid holds every j < d, so
-    only zeros leave it.
+    ``encoding_grid`` is exactly j 2^k cells: j 2^k is added to the cells.
+    The grid holds every j < d.
     """
-    state = encode_mode(layout, delta, 0)
-    amps = state.amps
-    step = round(math.sqrt(2.0 * math.pi / layout.d) / state.grids[0].dx)
-    at = 0
+    support = encode_mode(layout, delta, 0)
+    step = round(math.sqrt(2.0 * math.pi / layout.d) / support.grid.dx)
+    cells, at = support.cells, 0
     for j in indices:
-        cells, at = (j - at) * step, j
-        if cells > 0:
-            amps[cells:] = amps[:-cells]
-            amps[:cells] = 0
-        elif cells < 0:
-            amps[:cells] = amps[-cells:]
-            amps[cells:] = 0
-        yield state
+        cells += (j - at) * step
+        at = j
+        yield support
 
 
-def sample_encoded_state(states, layout: EncodingLayout, shots: int, seed: int) -> np.ndarray:
-    """Homodyne + post-processing of one-mode states, mode 0 first: ``(shots, n)`` int64 bits.
+def sample_encoded_state(supports, layout: EncodingLayout, shots: int, seed: int) -> np.ndarray:
+    """Homodyne + post-processing of one-mode supports, mode 0 first: ``(shots, n)`` int64 bits.
 
-    All modes draw from one ``default_rng(seed)``, so mode 0 reads the stream of
-    ``homodyne_sample(state, shots, seed)``; a generator's states are held one at a time.
+    Each mode draws its cells from ``|values|^2`` (``simulator.sample_cells``,
+    the core of ``homodyne_sample``) and reports them at their cell centres.
+    All modes draw from one ``default_rng(seed)``, so mode 0 reads the stream
+    of ``homodyne_sample`` on the dense state with that seed; a generator's
+    supports are held one at a time.
     """
     rng = np.random.default_rng(seed)
     columns = []
-    for state in states:
-        columns.append(homodyne_sample(state, shots, rng)[0])
-        del state  # free this mode before the generator builds the next
-    ys = np.hstack(columns)
+    for support in supports:
+        density = np.abs(support.values)
+        density *= density
+        ys = support.cells[sample_cells(density, shots, rng)] * support.grid.dx
+        ys += support.grid.x0
+        columns.append(ys)
+        del support  # free this mode before the generator builds the next
+    ys = np.column_stack(columns)
     del columns  # decode without the per-mode columns
     return post_process(ys, layout)
 

@@ -100,19 +100,21 @@ DEFAULT_MEM_CAP_MB = 1024.0
 # runs): 53.2-54.2 MB.
 QUBIT_CHUNK_CELLS = 4096
 
-# Peak memory of a simulated run, in copies of its amplitude array, as
-# ``check_mem_cap`` counts it.  ``apply_circuit`` holds the caller's state and
-# its private copy, i.e. 2 copies; one kernel's temporaries come on top: a
-# qubit gate's product of one chunk, the phases of the occupied cells (half a
-# copy with one qubit), a moved run's buffer, or on the whole-axis path a
-# shift's roll or transform and the FFT plan.  Outside the kernels, the float
-# temporaries of comb building (1.35 copies) and sampling come on top.
-# Measured ``tracemalloc`` peaks: 2.45 for ``apply_circuit`` of the code prep
-# (l=1, Delta=0.02; 147,456 points) with the caller's vacuum held, a
-# controlled kick's phases on top (2.62 for the comb prep, n=8; 36,864
-# points); 2.00 for either when the vacuum is freed once copied; 1.50 for
-# ``run_sampling_scheme`` (n=2, m=1, Delta=0.01; the comb and
-# ``homodyne_sample``'s float64 density).  Rounded up to 4.
+# Peak memory of a run, in copies of 16 B a counted cell, as ``check_cells_cap``
+# counts it.  A simulated run counts the cells of its amplitude array
+# (``check_mem_cap``).  ``apply_circuit`` holds the caller's state and its
+# private copy, i.e. 2 copies; one kernel's temporaries come on top: a qubit
+# gate's product of one chunk, the phases of the occupied cells (half a copy
+# with one qubit), a moved run's buffer, or on the whole-axis path a shift's
+# roll or transform and the FFT plan.  Measured ``tracemalloc`` peaks: 2.45
+# for ``apply_circuit`` of the code prep (l=1, Delta=0.02; 147,456 points) with
+# the caller's vacuum held, a controlled kick's phases on top (2.62 for the
+# comb prep, n=8; 36,864 points); 2.00 for either when the vacuum is freed
+# once copied.  The sampling run counts the cells of one comb support
+# (``gkp.comb_support_size``, the support's peak windows), not its grid's
+# points: building the support peaks at 2.53-2.55 copies (n=2, m=1,
+# Delta=0.01-0.05; 4,288-265,216 cells), sampling it at less, and the shot
+# arrays are counted apart.  Rounded up to 4.
 WORKING_SET_COPIES = 4
 
 
@@ -603,13 +605,7 @@ def homodyne_sample(
     rng = np.random.default_rng(seed)
     cdf = np.abs(state.amps.ravel())
     cdf *= cdf
-    np.cumsum(cdf, out=cdf)
-    total = cdf[-1]  # a NaN or inf anywhere carries into the last partial sum
-    if not (math.isfinite(total) and total > 0):
-        raise ValueError(f"cannot sample a state of total probability {total}")
-    cdf /= total
-    flat = np.searchsorted(cdf, rng.random(shots), side="right")
-    cells = np.unravel_index(np.minimum(flat, cdf.size - 1), state.amps.shape)
+    cells = np.unravel_index(sample_cells(cdf, shots, rng), state.amps.shape)
     ys = np.empty((shots, state.m))
     for a, grid in enumerate(state.grids):
         np.multiply(cells[a], grid.dx, out=ys[:, a])  # no float temporary beside ys
@@ -618,6 +614,24 @@ def homodyne_sample(
     for q in range(state.r):
         zs[:, q] = cells[state.m + q]
     return ys, zs
+
+
+def sample_cells(density: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``shots`` draws from ``density``, cell probabilities up to one factor.
+
+    The cumulative sum of ``density`` overwrites it in place, divided by its
+    last partial sum; each of ``rng.random(shots)`` picks the first cell whose
+    partial sum passes it (``searchsorted``, side right), so a cell of
+    probability 0 is never drawn.  Raises ``ValueError`` unless the total is
+    finite and > 0.
+    """
+    np.cumsum(density, out=density)
+    total = density[-1] if density.size else 0.0  # a NaN or inf anywhere carries into the last
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"cannot sample a state of total probability {total}")
+    density /= total
+    flat = np.searchsorted(density, rng.random(shots), side="right")
+    return np.minimum(flat, density.size - 1, out=flat)
 
 
 # -- automatic grid sizing --------------------------------------------------------
@@ -678,14 +692,24 @@ def auto_grid(
                     raise GridError(
                         f"mode {mode}'s squeeze factor leaves the float range {_prefix_name(c, mode, j)}"
                     )
+            if not all(map(math.isfinite, w)):
+                axis = "position" if not all(map(math.isfinite, w[:2])) else "momentum"
+                raise GridError(
+                    f"mode {mode}'s {axis} window leaves the float range {_prefix_name(c, mode, j)}"
+                )
             steps.append((w, s))
-        dx0 = min(
-            math.pi / ((1.0 + base_margin) * max(abs(w[2]), abs(w[3])) * s) for w, s in steps
-        )
-        n_req = max(
-            2.0 * max(abs(w[0]), abs(w[1])) * (1.0 + base_margin) / (dx0 * s) for w, s in steps
-        )
-        spec = _snap_grid(gates, dx0, n_req)
+        try:  # finite windows can still ask for a cell or a cell count past the float range
+            dx0 = min(
+                math.pi / ((1.0 + base_margin) * max(abs(w[2]), abs(w[3])) * s) for w, s in steps
+            )
+            n_req = max(
+                2.0 * max(abs(w[0]), abs(w[1])) * (1.0 + base_margin) / (dx0 * s) for w, s in steps
+            )
+            spec = _snap_grid(gates, dx0, n_req)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise GridError(
+                f"mode {mode}'s grid leaves the float range {_prefix_name(c, mode, len(gates))}"
+            ) from exc
         if n_points is not None:
             spec = centered_grid(n_points, spec.dx)
             for j, (w, s) in enumerate(steps):
@@ -748,14 +772,26 @@ def _snap_grid(gates, dx_band: float, n_req: float) -> GridSpec:
     return centered_grid(sizes[0], dx_band * n_req / sizes[0])
 
 
-def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> None:
-    """Raise ``ResourceCapError`` if a run's working set on the joint grid exceeds the cap.
+def check_mem_cap(grids, r: int, mem_cap_mb: float) -> None:
+    """Raise ``ResourceCapError`` if a simulated run's working set on the joint grid exceeds the cap.
 
-    The working set is ``WORKING_SET_COPIES`` amplitude arrays of 16 B a cell,
-    plus ``shots_mb`` of a sampler's shot arrays held beside them.  The byte
-    count stays an integer, since many modes' joint grid passes the float range.
+    The grid's cells are its ``2^r`` qubit branches on the product of the
+    modes' points; :func:`check_cells_cap` counts them.  The sampling run
+    counts the cells of one comb support instead (``pipeline``).
     """
-    nbytes = 2 ** r * math.prod(g.n_points for g in grids) * 16
+    check_cells_cap(2 ** r * math.prod(g.n_points for g in grids), "grid", mem_cap_mb)
+
+
+def check_cells_cap(cells: int, what: str, mem_cap_mb: float, shots_mb: float = 0.0) -> None:
+    """Raise ``ResourceCapError`` if ``cells`` cells of ``what`` and the shots exceed the cap.
+
+    The working set is ``WORKING_SET_COPIES`` arrays of 16 B a cell (a
+    complex amplitude of a grid, or an int64 index and a float64 value of a
+    support), plus ``shots_mb`` of a sampler's shot arrays held beside them.
+    The byte count stays an integer, since many modes' joint grid passes the
+    float range.
+    """
+    nbytes = 16 * cells
     if WORKING_SET_COPIES * nbytes > (mem_cap_mb - shots_mb) * 1e6:
         try:
             mb = f"{nbytes / 1e6:g}"
@@ -763,7 +799,7 @@ def check_mem_cap(grids, r: int, mem_cap_mb: float, shots_mb: float = 0.0) -> No
             mb = f"{Decimal(nbytes).scaleb(-6):.6g}"
         shots = f" + {shots_mb:g} MB of shots" if shots_mb else ""
         raise ResourceCapError(
-            f"grid needs {WORKING_SET_COPIES} x {mb} MB{shots} > cap {mem_cap_mb:g} MB"
+            f"{what} needs {WORKING_SET_COPIES} x {mb} MB{shots} > cap {mem_cap_mb:g} MB"
         )
 
 

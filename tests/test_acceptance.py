@@ -43,6 +43,11 @@ def test_criterion_fails_a_check_past_its_limit():
     assert acceptance.criterion(99, "failing check")(lambda: (False, {}))().passed is False
 
 
+def test_criterion_4_details_are_pinned():
+    # the counts of its 10,000-shot superposition: 5,001 and 4,999 (or the reverse)
+    assert acceptance.criterion_4().details == {"deterministic": True, "chi2": 0.0004, "stray": 0}
+
+
 def test_criterion_8_allocates_no_n_by_n_matrix():
     # one float64 matrix of the criterion's n_quad = 1024 would be 8 x 1024^2 B
     acceptance.criterion_8()  # first-call allocations of numpy

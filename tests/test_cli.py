@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hqoc.circuit import Circuit, disp_q, qubit_gate, serialize_circuit, squeeze
+from hqoc.circuit import Circuit, disp_p, disp_q, qubit_gate, serialize_circuit, squeeze
 from hqoc.cli import build_parser, main
 from hqoc.pipeline import build_wprep, prep_size_formula, run_sampling_scheme
 from hqoc.simulator import GRID_ODD_FACTORS
@@ -165,6 +165,15 @@ def test_sample_repeated_logical_x_cancels(logical, want, tmp_path):
     assert Counter(out.read_text().split()) == Counter({want: 1000})
 
 
+def test_sample_runs_24_bits_in_one_mode_under_the_default_cap(tmp_path):
+    # d = 2^24: 63 support cells of a 2,013,265,920-point grid that is never built
+    out = tmp_path / "s.csv"
+    args = ["sample", "--n", "24", "--m", "1", "--delta", "2.9802322387695312e-08", "--shots", "200",
+            "--logical", "X:1", "--out", str(out)]
+    assert main(args) == 0
+    assert Counter(out.read_text().split()) == Counter({"1" + "0" * 23: 200})
+
+
 def test_tradeoff_table(tmp_path):
     out = tmp_path / "table.json"
     assert main(["tradeoff", "--table", "--n-values", "16,64,256", "--out",
@@ -280,6 +289,14 @@ def test_simulate_refuses_a_squeeze_factor_past_the_float_range(alpha, tmp_path,
     path.write_text(serialize_circuit(Circuit(1, 0, (squeeze(0, alpha),) * 2)))
     assert main(["simulate", str(path)]) == 1
     assert capsys.readouterr().err == "error: mode 0's squeeze factor leaves the float range at gate 2\n"
+
+
+@pytest.mark.parametrize("gate, axis", [(disp_p, "position"), (disp_q, "momentum")])
+def test_simulate_refuses_a_window_past_the_float_range(gate, axis, tmp_path, capsys):
+    path = tmp_path / "shifted.json"
+    path.write_text(serialize_circuit(Circuit(1, 0, (gate(0, 1e308),) * 2)))
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: mode 0's {axis} window leaves the float range at gate 2\n"
 
 
 def test_simulate_grid_points_checks_mem_cap(circuit_file):
@@ -410,11 +427,12 @@ def test_sample_mem_cap_exit_code(monkeypatch):
 
 
 def test_mem_cap_message_prints_the_sum_it_compared(capsys):
-    # 4 x 0.29 MB of grid + 32 MB of shots = 33.18 MB; whole MB would read 4 x 0 MB
+    # 4 x 0.068608 MB of comb support (4,288 cells) + 32 MB of shots = 32.27 MB;
+    # whole MB would read 4 x 0 MB
     args = ["sample", "--n", "2", "--m", "1", "--delta", "0.05", "--shots", "1000000",
-            "--mem-cap-mb", "33"]
+            "--mem-cap-mb", "32.2"]
     assert main(args) == 2
-    assert "grid needs 4 x 0.294912 MB + 32 MB of shots > cap 33 MB" in capsys.readouterr().err
+    assert "comb support needs 4 x 0.068608 MB + 32 MB of shots > cap 32.2 MB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

@@ -260,3 +260,32 @@ def test_overlap_check_grids_take_the_smallest_allowed_size(monkeypatch):
         overlap_check(delta, eps, 16)
         _check_smallest_allowed(grids[-1], 2 * (8 + 1 + 12 * delta) / (delta / 16), delta / 16)
     assert [g.n_points for g in grids] == [6144, 3840, 15360]
+
+
+@pytest.mark.parametrize(
+    "delta, d", [(0.02, 4), (0.125, 4), (0.01, 4), (0.05, 8), (1 / 32, 2), (2.0 ** -9, 256)]
+)
+def test_comb_support_is_the_nonzero_cells_of_the_dense_comb(delta, d):
+    grid = default_comb_grid(comb_spec(delta, d, 0))
+    for j in sorted({0, 1, d // 2, d - 1}):
+        spec = comb_spec(delta, d, j)
+        support = gkp.comb_support(spec, grid)
+        assert support.cells.dtype == np.int64 and support.grid == grid
+        assert np.array_equal(support.cells, np.flatnonzero(comb_wavefunction(spec, grid).amps))
+        windows = gkp._window_cells(grid, spec.peak_centers - spec.half_support,
+                                    spec.peak_centers + spec.half_support, pad=1)[1]
+        assert windows.sum() <= gkp.comb_support_size(spec, grid)
+
+
+def test_comb_support_size_bounds_the_windows_of_a_coarse_grid():
+    # the grid of the code prep's final state, whose oracle samples a peak about twice a sigma
+    from hqoc.pipeline import SIM_MARGIN, _prep_spec, build_code_prep
+    from hqoc.simulator import apply_circuit, auto_grid, vacuum_state
+
+    c = build_code_prep(1, 0.02)
+    grid = apply_circuit(vacuum_state(1, 1, auto_grid(c, base_margin=SIM_MARGIN)), c).grids[0]
+    spec = _prep_spec(1, 0.02)
+    support = gkp.comb_support(spec, grid, samples_per_sigma=1.0)
+    windows = gkp._window_cells(grid, spec.peak_centers - spec.half_support,
+                                spec.peak_centers + spec.half_support, pad=1)[1]
+    assert support.cells.size <= windows.sum() <= gkp.comb_support_size(spec, grid)

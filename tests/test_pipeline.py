@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import hqoc.pipeline as pipeline
 from hqoc.circuit import Circuit, disp_p, qubit_gate, squeeze
-from hqoc.gkp import comb_wavefunction, untruncated_comb_wavefunction
+from hqoc.gkp import comb_spec, comb_support_size, comb_wavefunction, untruncated_comb_wavefunction
 from hqoc.moments import ceil_log2, circuit_params, energy_upper_bound
 from hqoc.pipeline import (
     EncodingLayout,
@@ -23,7 +23,6 @@ from hqoc.pipeline import (
     code_prep_target,
     discretize,
     encode_basis_state,
-    encode_mode,
     encode_state,
     error_budget,
     post_process,
@@ -36,10 +35,12 @@ from hqoc.pipeline import (
 )
 from hqoc.simulator import (
     WORKING_SET_COPIES,
+    HybridState,
     ResourceCapError,
     apply_circuit,
     auto_grid,
     homodyne_sample,
+    sample_cells,
     trace_distance,
     vacuum_state,
 )
@@ -361,8 +362,13 @@ def test_sample_encoded_state_decodes_in_one_call(monkeypatch):
     monkeypatch.setattr(pipeline, "post_process", counting)
     samples = sample_encoded_state(states, lay, 10_000, seed=3)
     [ys] = calls
-    # an m = 1 layout reads exactly the stream of one homodyne_sample call
-    assert np.array_equal(ys, homodyne_sample(states[0], 10_000, seed=3)[0])
+    # an m = 1 layout reads exactly the stream of one homodyne_sample call on the
+    # dense state that holds the support's values at its cells
+    [support] = states
+    amps = np.zeros(support.grid.n_points, dtype=complex)
+    amps[support.cells] = support.values
+    dense = HybridState(1, 0, (support.grid,), amps)
+    assert np.array_equal(ys, homodyne_sample(dense, 10_000, seed=3)[0])
     assert samples.shape == (10_000, 2) and samples.dtype == np.int64
     assert set(map(tuple, samples.tolist())) == {(1, 0)}
 
@@ -519,23 +525,40 @@ def test_encode_state_refuses_a_sum_that_underflows():
         encode_state({(0, 0): 1e-300}, EncodingLayout(2, 1), 0.05)
 
 
-def test_encode_state_sums_in_place():
-    # two 147,456-cell basis states: the running total beside the comb build's temporaries
-    lay, delta = EncodingLayout(n=2, m=1), 0.02
-    amplitudes = {(0, 0): 1.0, (1, 1): 1.0}
+def _dense_sum(supports, weights):
+    """The normalized sum of each support at unit norm times its weight, on the whole grid."""
+    total = 0
+    for support, weight in zip(supports, weights):
+        amps = np.zeros(support.grid.n_points, dtype=complex)
+        amps[support.cells] = support.values / np.linalg.norm(support.values)
+        total = total + weight * amps
+    return total / np.linalg.norm(total)
+
+
+@pytest.mark.parametrize("delta, amplitudes, shared, copies", [
+    (0.02, {(0, 0): 1.0, (1, 1): 1.0}, 0, 2.2),  # criterion 4's superposition; real values
+    (0.01, {(1, 0): 0.6, (1, 1): -0.8j}, 3, 3.2),  # j = 2 and 3 both keep 3 edge cells; complex
+])
+def test_encode_state_joins_the_supports(delta, amplitudes, shared, copies):
+    lay = EncodingLayout(n=2, m=1)
     encode_state(amplitudes, lay, delta)  # first-call allocations of numpy
-    cells = pipeline.encoding_grid(lay, delta).n_points
-    assert cells == 147_456
+    counted = comb_support_size(comb_spec(delta, 4, 0), pipeline.encoding_grid(lay, delta))
     tracemalloc.start()
     try:
         [state] = encode_state(amplitudes, lay, delta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * 16 * cells
-    [a], [b] = (encode_basis_state(bits, lay, delta) for bits in amplitudes)
-    want = a.amps + b.amps
-    assert np.array_equal(state.amps, want / np.linalg.norm(want))
+    # the joined terms, the stable sort's order and the sorted copies: about 2 (real) or
+    # 3 (complex) times 16 B a counted cell of each term, and no grid-sized array
+    assert peak <= copies * 16 * counted * len(amplitudes)
+    bases = [encode_basis_state(bits, lay, delta)[0] for bits in amplitudes]
+    assert len(np.intersect1d(bases[0].cells, bases[1].cells)) == shared
+    want = _dense_sum(bases, amplitudes.values())
+    assert np.array_equal(state.cells, np.flatnonzero(want))
+    # the same amplitudes up to the rounding of the norms, summed in another order
+    assert np.allclose(state.values, want[state.cells], rtol=1e-12, atol=0)
+    assert np.linalg.norm(state.values) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_prep_rejects_bad_parameters():
@@ -546,11 +569,12 @@ def test_prep_rejects_bad_parameters():
 
 
 def test_encode_basis_state_checks_mem_cap():
-    # each mode's 640 cells at delta = 0.125 need 4 x 0.01024 MB; a 0.04 MB cap refuses them
+    # each mode's support at delta = 0.125 counts 76 cells (63 kept) of its 640-cell grid;
+    # the two modes need 4 x 0.002432 MB, which a 0.009 MB cap refuses
     layout = EncodingLayout(n=4, m=2)
-    with pytest.raises(ResourceCapError, match=re.escape("grid needs 4 x 0.01024 MB > cap 0.04 MB")):
-        encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=0.04)
-    assert len(encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=0.05)) == 2
+    with pytest.raises(ResourceCapError, match=re.escape("comb support needs 4 x 0.002432 MB > cap 0.009 MB")):
+        encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=0.009)
+    assert len(encode_basis_state((0, 0, 0, 0), layout, 0.125, mem_cap_mb=0.01)) == 2
 
 
 def test_run_caps_shot_arrays_before_encoding():
@@ -573,9 +597,9 @@ def test_run_rejects_an_inadmissible_delta_before_sampling(monkeypatch):
 
     def counting_sample(*args, **kwargs):
         calls.append(1)
-        return homodyne_sample(*args, **kwargs)
+        return sample_cells(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "homodyne_sample", counting_sample)
+    monkeypatch.setattr(pipeline, "sample_cells", counting_sample)
     with pytest.raises(ValueError, match=re.escape("delta <= 2^-(ell+1)")):
         run_sampling_scheme(Circuit(0, 16, ()), 16, 4, 0.05, 1000, 0)
     assert calls == []
@@ -589,7 +613,8 @@ def test_m2_share_of_1001_is_the_product_of_the_mode_probabilities():
     p = 1.0
     for j in (2, 1):  # the code state of index j, simulated from the j = 0 comb
         shift = Circuit(1, 0, (disp_p(0, j * math.sqrt(2 * math.pi / lay.d)),))
-        state = apply_circuit(encode_mode(lay, delta, 0), shift)
+        comb = comb_wavefunction(comb_spec(delta, lay.d, 0), pipeline.encoding_grid(lay, delta))
+        state = apply_circuit(comb, shift)
         xs = state.grids[0].xs
         p *= float(state.position_density()[discretize(xs, lay.ell) == j].sum())
     assert 0.9 < p < 1.0  # the truncated comb leaks a few percent into the neighbour indices
@@ -603,8 +628,10 @@ def test_run_holds_one_mode_at_a_time():
     n, m, delta, shots = 16, 8, 0.05, 1000
     u = Circuit(0, n, (qubit_gate("X", 0), qubit_gate("X", 5), qubit_gate("X", 15)))
     run_sampling_scheme(u, n, m, delta, 10, seed=0)  # first-call allocations of numpy
-    cells = pipeline.encoding_grid(EncodingLayout(n=n, m=m), delta).n_points
-    assert cells == 18_432
+    grid = pipeline.encoding_grid(EncodingLayout(n=n, m=m), delta)
+    assert grid.n_points == 18_432
+    cells = comb_support_size(comb_spec(delta, 4, 0), grid)  # as the cap counts one mode's support
+    assert cells == 4_288
     tracemalloc.start()
     try:
         samples = run_sampling_scheme(u, n, m, delta, shots, seed=2).samples
@@ -614,3 +641,65 @@ def test_run_holds_one_mode_at_a_time():
     shot_bytes = 8 * (2 * m + n) * shots  # as run_sampling_scheme counts them for the cap
     assert peak <= WORKING_SET_COPIES * 16 * cells + shot_bytes
     assert set(map(tuple, samples.tolist())) == {(1, 0, 0, 0, 0, 1) + (0,) * 9 + (1,)}
+
+
+def _dense_bits(states, layout, shots, seed):
+    """The dense oracle: ``homodyne_sample`` of each mode's whole grid from one stream, then ``post_process``."""
+    rng = np.random.default_rng(seed)
+    return post_process(np.hstack([homodyne_sample(state, shots, rng)[0] for state in states]), layout)
+
+
+@pytest.mark.parametrize("n, m, delta, flipped", [(2, 1, 0.01, (0, 1)), (4, 2, 0.125, (0, 3))])
+def test_run_gives_the_bits_of_the_dense_path(n, m, delta, flipped):
+    # perfbench's two `sample` shapes (X:1,X:2 and X:1,X:4); each mode's dense comb is
+    # the j = 0 comb rolled by j 2^k cells, as the support is moved
+    lay = EncodingLayout(n=n, m=m)
+    grid = pipeline.encoding_grid(lay, delta)
+    comb = comb_wavefunction(comb_spec(delta, lay.d, 0), grid)
+    step = round(math.sqrt(2 * math.pi / lay.d) / grid.dx)
+    bits = [0] * n
+    for q in flipped:
+        bits[q] ^= 1
+    states = [HybridState(1, 0, (grid,), np.roll(comb.amps, j * step)) for j in lay.indices_for_bits(bits)]
+    u = Circuit(0, n, tuple(qubit_gate("X", q) for q in flipped))
+    for seed in (1, 2, 3):
+        samples = run_sampling_scheme(u, n, m, delta, 2000, seed).samples
+        assert np.array_equal(samples, _dense_bits(states, lay, 2000, seed))
+
+
+@pytest.mark.parametrize("delta, amplitudes", [
+    (0.02, {(0, 0): 1.0, (1, 1): 1.0}),  # criterion 4's superposition
+    (0.01, {(1, 0): 0.6, (1, 1): -0.8j}),  # two supports that share 3 edge cells
+])
+def test_encoded_superposition_gives_the_bits_of_the_dense_path(delta, amplitudes):
+    # the dense oracle sums the normalized dense combs of the terms, as a whole-grid state
+    lay = EncodingLayout(n=2, m=1)
+    grid = pipeline.encoding_grid(lay, delta)
+    total = 0
+    for bits, coeff in amplitudes.items():
+        [j] = lay.indices_for_bits(bits)
+        total = total + coeff * comb_wavefunction(comb_spec(delta, 4, j), grid).amps
+    dense = HybridState(1, 0, (grid,), total).normalize()
+    states = encode_state(amplitudes, lay, delta)
+    for seed in (4, 5):
+        samples = sample_encoded_state(states, lay, 2000, seed)
+        assert np.array_equal(samples, _dense_bits([dense], lay, 2000, seed))
+        assert set(map(tuple, samples.tolist())) == set(amplitudes)
+
+
+def test_run_at_large_ell_holds_no_grid_sized_array():
+    # n = 16 bits in one mode: a d = 2^16 comb of 63 cells on a 7,864,320-point grid
+    n, delta = 16, 2.0 ** -17
+    u = Circuit(0, n, (qubit_gate("X", 0),))
+    grid = pipeline.encoding_grid(EncodingLayout(n=n, m=1), delta)
+    assert grid.n_points == 7_864_320
+    run_sampling_scheme(u, n, 1, delta, 10, seed=0)  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        samples = run_sampling_scheme(u, n, 1, delta, 1000, seed=1).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * 16 * grid.n_points
+    # j = 2^15: a kept edge cell, a rounding tie, decodes to the even neighbour j itself
+    assert set(map(tuple, samples.tolist())) == {(1,) + (0,) * 15}

@@ -432,6 +432,18 @@ def test_mem_cap_counts_a_joint_grid_past_the_float_range():
         check_mem_cap(grids, 4, 1e300)
 
 
+@pytest.mark.parametrize("gates, message", [
+    ((disp_p(0, 1e308),) * 2, "position window leaves the float range at gate 2"),
+    ((disp_q(0, 1e308),) * 2, "momentum window leaves the float range at gate 2"),
+    ((ctrl_disp_p(0, 0, 1e308),) * 2, "position window leaves the float range at gate 2"),
+    # finite windows whose grid needs more cells than a float counts
+    ((disp_p(0, 1e300), disp_q(0, 1e300)), "grid leaves the float range at gate 2"),
+], ids=["disp_p", "disp_q", "ctrl_disp_p", "cells"])
+def test_auto_grid_refuses_a_window_past_the_float_range(gates, message):
+    with pytest.raises(GridError, match=f"^mode 0's {message}$"):
+        auto_grid(Circuit(1, 1, gates))
+
+
 @pytest.mark.parametrize("alpha", [1e-200, 1e200])
 def test_auto_grid_refuses_a_squeeze_factor_past_the_float_range(alpha):
     # the mode's cumulative factor becomes 0 or inf at its second squeezer, gate 3 of the circuit
@@ -576,6 +588,7 @@ def _peak_copies(run, amp_bytes):
 
 
 def test_working_set_within_mem_cap_constant():
+    from hqoc.gkp import comb_spec, comb_support_size
     from hqoc.pipeline import EncodingLayout, build_prep_circuit, encoding_grid, run_sampling_scheme
 
     c = build_prep_circuit(8, 0.02)
@@ -584,8 +597,9 @@ def test_working_set_within_mem_cap_constant():
     peak = _peak_copies(lambda: apply_circuit(vacuum_state(1, 1, grids), c), 16 * cells)
     assert peak <= WORKING_SET_COPIES
 
+    # the sampling run counts the cells of one comb support, not its grid's points
     u = Circuit(0, 2, (qubit_gate("X", 0), qubit_gate("X", 1)))
-    cells = encoding_grid(EncodingLayout(n=2, m=1), 0.01).n_points
+    cells = comb_support_size(comb_spec(0.01, 4, 0), encoding_grid(EncodingLayout(n=2, m=1), 0.01))
     peak = _peak_copies(lambda: run_sampling_scheme(u, 2, 1, 0.01, 1000, 1), 16 * cells)
     assert peak <= WORKING_SET_COPIES
 
@@ -631,9 +645,11 @@ def _sample_with_grid_xs(state, shots, seed):
 
 
 def test_homodyne_sample_reads_only_sampled_positions():
-    from hqoc.pipeline import EncodingLayout, encode_basis_state
+    from hqoc.gkp import comb_spec, comb_wavefunction
+    from hqoc.pipeline import EncodingLayout, encoding_grid
 
-    [st] = encode_basis_state((1, 0), EncodingLayout(n=2, m=1), 0.01)  # 9 * 2^17 cells
+    # the comb of bits (1, 0) on 9 * 2^17 cells
+    st = comb_wavefunction(comb_spec(0.01, 4, 2), encoding_grid(EncodingLayout(n=2, m=1), 0.01))
     peak = _peak_copies(lambda: homodyne_sample(st, 1000, seed=3), st.amps.nbytes)
     assert peak <= 0.75  # the density array is 0.5 copies; evaluating grid.xs adds one more
     hybrid = apply_gate(apply_gate(make_vacuum(), qubit_gate("H", 0)), ctrl_disp_p(0, 0, 3.0))
@@ -644,9 +660,11 @@ def test_homodyne_sample_reads_only_sampled_positions():
 
 
 def test_homodyne_sample_holds_24_bytes_a_shot():
-    from hqoc.pipeline import EncodingLayout, encode_mode
+    from hqoc.gkp import comb_spec, comb_wavefunction
+    from hqoc.pipeline import EncodingLayout, encoding_grid
 
-    st = encode_mode(EncodingLayout(n=16, m=8), 0.05, 0)  # one 18,432-cell mode
+    # one 18,432-cell mode
+    st = comb_wavefunction(comb_spec(0.05, 4, 0), encoding_grid(EncodingLayout(n=16, m=8), 0.05))
     homodyne_sample(st, 1000, seed=0)  # first-call allocations of numpy
     tracemalloc.start()
     try:
