@@ -529,9 +529,7 @@ def sample_encoded_state(supports, layout: EncodingLayout, shots: int, seed: int
     rng = np.random.default_rng(seed)
     columns = []
     for support in supports:
-        density = np.abs(support.values)
-        density *= density
-        ys = support.cells[sample_cells(density, shots, rng)] * support.grid.dx
+        ys = support.cells[sample_cells(support.values, shots, rng)] * support.grid.dx
         ys += support.grid.x0
         columns.append(ys)
         del support  # free this mode before the generator builds the next

@@ -603,9 +603,7 @@ def homodyne_sample(
     Raises ``ValueError`` unless the total probability is finite and > 0.
     """
     rng = np.random.default_rng(seed)
-    cdf = np.abs(state.amps.ravel())
-    cdf *= cdf
-    cells = np.unravel_index(sample_cells(cdf, shots, rng), state.amps.shape)
+    cells = np.unravel_index(sample_cells(state.amps.ravel(), shots, rng), state.amps.shape)
     ys = np.empty((shots, state.m))
     for a, grid in enumerate(state.grids):
         np.multiply(cells[a], grid.dx, out=ys[:, a])  # no float temporary beside ys
@@ -616,15 +614,17 @@ def homodyne_sample(
     return ys, zs
 
 
-def sample_cells(density: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices of ``shots`` draws from ``density``, cell probabilities up to one factor.
+def sample_cells(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``shots`` draws from ``|amps|^2``, cell probabilities up to one factor.
 
-    The cumulative sum of ``density`` overwrites it in place, divided by its
-    last partial sum; each of ``rng.random(shots)`` picks the first cell whose
-    partial sum passes it (``searchsorted``, side right), so a cell of
+    The cumulative sum of the density, in one float64 array, is divided by
+    its last partial sum; each of ``rng.random(shots)`` picks the first cell
+    whose partial sum passes it (``searchsorted``, side right), so a cell of
     probability 0 is never drawn.  Raises ``ValueError`` unless the total is
     finite and > 0.
     """
+    density = np.abs(amps)
+    density *= density
     np.cumsum(density, out=density)
     total = density[-1] if density.size else 0.0  # a NaN or inf anywhere carries into the last
     if not (math.isfinite(total) and total > 0):

@@ -538,7 +538,7 @@ def _dense_sum(supports, weights):
 @pytest.mark.parametrize("delta, amplitudes, shared, copies", [
     (0.02, {(0, 0): 1.0, (1, 1): 1.0}, 0, 2.2),  # criterion 4's superposition; real values
     (0.01, {(1, 0): 0.6, (1, 1): -0.8j}, 3, 3.2),  # j = 2 and 3 both keep 3 edge cells; complex
-])
+], ids=["criterion-4", "shared-edge"])
 def test_encode_state_joins_the_supports(delta, amplitudes, shared, copies):
     lay = EncodingLayout(n=2, m=1)
     encode_state(amplitudes, lay, delta)  # first-call allocations of numpy
@@ -670,7 +670,7 @@ def test_run_gives_the_bits_of_the_dense_path(n, m, delta, flipped):
 @pytest.mark.parametrize("delta, amplitudes", [
     (0.02, {(0, 0): 1.0, (1, 1): 1.0}),  # criterion 4's superposition
     (0.01, {(1, 0): 0.6, (1, 1): -0.8j}),  # two supports that share 3 edge cells
-])
+], ids=["criterion-4", "shared-edge"])
 def test_encoded_superposition_gives_the_bits_of_the_dense_path(delta, amplitudes):
     # the dense oracle sums the normalized dense combs of the terms, as a whole-grid state
     lay = EncodingLayout(n=2, m=1)
