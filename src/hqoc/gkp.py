@@ -139,7 +139,7 @@ class ModeSupport:
 
     ``cells`` are ascending int64 cell indices and ``values`` the amplitudes
     there up to one factor (a comb's are its peaks' Gaussians before
-    normalization).  Each cell is 16 B, as one complex amplitude of a grid is.
+    normalization).  A cell of real value is 16 B, as one complex amplitude of a grid is.
     """
 
     grid: GridSpec
